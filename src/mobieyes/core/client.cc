@@ -14,9 +14,10 @@ using net::QueryInfo;
 
 namespace {
 
-// Ordering that keeps groupable queries (same focal object) adjacent with
-// region reach descending, so group evaluation can stop at the first
-// circumscribing radius the object falls outside of (§4.1).
+// Ordering that keeps groupable queries (same focal object) adjacent, so
+// one distance computation serves the whole group (§4.1), with region
+// reach descending and then qid: the order fixes the bit order of a
+// group's result report.
 bool EntryLess(const MobiEyesClient::LqtEntry& a,
                const MobiEyesClient::LqtEntry& b) {
   if (a.focal_oid != b.focal_oid) return a.focal_oid < b.focal_oid;
@@ -35,26 +36,26 @@ MobiEyesClient::MobiEyesClient(const mobility::World& world, ObjectId oid,
       oid_(oid),
       network_(&network),
       options_(options),
-      prev_cell_(world.object(oid).cell) {}
+      prev_cell_(world.cell(oid)) {}
 
 void MobiEyesClient::OnTick() {
   ++tick_;
-  const mobility::ObjectState& me = world_->object(oid_);
   Seconds now = world_->now();
 
   // 0. Hardening: drop LQT entries whose soft-state lease lapsed.
   if (options_.lease_duration > 0.0) ExpireLeases(now);
 
   // 1. Grid-cell crossing (§3.5).
-  if (!(me.cell == prev_cell_)) {
-    HandleCellCrossing(me.cell);
+  const geo::CellCoord cell = world_->cell(oid_);
+  if (!(cell == prev_cell_)) {
+    HandleCellCrossing(cell);
   }
 
   // 2. Focal dead reckoning (§3.4): relay the velocity vector when the true
   // position drifts more than Δ from what the last relayed vector predicts.
   if (has_mq_) {
     geo::Point predicted = last_relayed_.PredictPosition(now);
-    if (geo::Distance(me.pos, predicted) >
+    if (geo::Distance(world_->position(oid_), predicted) >
         options_.dead_reckoning_threshold) {
       SendVelocityReport();
     }
@@ -95,7 +96,7 @@ void MobiEyesClient::EvaluateQueries() {
   ScopedTimer timed(eval_watch_);
   TRACE_SPAN(trace_, "client.evaluate_queries");
 
-  const mobility::ObjectState& me = world_->object(oid_);
+  const geo::Point me = world_->position(oid_);
   Seconds now = world_->now();
   const bool grouping = options_.enable_query_grouping;
   // Persistent scratch: this runs every tick for every client with a
@@ -114,51 +115,45 @@ void MobiEyesClient::EvaluateQueries() {
     }
 
     // One distance computation per group: groupable queries share a focal
-    // object, and velocity broadcasts keep their kinematics in sync.
-    double dist = -1.0;  // computed lazily
+    // object, and velocity broadcasts keep their kinematics in sync. The
+    // squared distance drives the containment early-out; the distance
+    // itself is needed only for a safe period.
+    double dist_sq = -1.0;  // computed lazily
+    double dist = -1.0;     // computed lazily, safe-period path only
     geo::Point focal_pos;
     bool group_dirty = false;
-    bool outside_larger = false;  // outside some circumscribing radius seen
     for (size_t k = begin; k < end; ++k) {
       LqtEntry& entry = lqt_[k];
       if (options_.enable_safe_period && entry.ptm > now) {
         ++safe_period_skips_;
         continue;
       }
-      bool inside;
-      if (grouping && outside_larger) {
-        // Entries are sorted by circumscribing radius descending: outside a
-        // larger reach implies outside all smaller regions (§4.1) — no
-        // containment check needed.
-        inside = false;
-      } else {
-        if (dist < 0.0) {
-          focal_pos = entry.focal.PredictPosition(now);
-          dist = geo::Distance(me.pos, focal_pos);
-        }
-        if (dist > entry.region.MaxReach()) {
-          inside = false;
-          outside_larger = true;
-        } else {
-          // Same per-lane predicate the batched span kernels apply, so the
-          // client-side monitoring check and the oracle classify a point
-          // identically.
-          inside = geo::kernels::RegionLane(entry.region, focal_pos.x,
-                                            focal_pos.y, me.pos.x, me.pos.y);
-        }
+      if (dist_sq < 0.0) {
+        focal_pos = entry.focal.PredictPosition(now);
+        dist_sq = geo::SquaredDistance(me, focal_pos);
       }
+      // Outside the circumscribing circle means outside the region (§4.1);
+      // otherwise the exact test. Both use the batched span kernels'
+      // arithmetic, so the client-side monitoring check and the oracle
+      // classify every point identically.
+      const bool inside =
+          dist_sq <= entry.region.MaxReachSquared() &&
+          geo::kernels::RegionLane(entry.region, focal_pos.x, focal_pos.y,
+                                   me.x, me.y);
       ++queries_evaluated_;
       if (inside != entry.is_target) {
         entry.is_target = inside;
         group_dirty = true;
         if (!grouping) flipped.push_back(k);
       }
-      if (options_.enable_safe_period && !inside && dist >= 0.0) {
+      if (options_.enable_safe_period && !inside) {
         // Worst case both objects approach head-on at their maximum speeds;
         // subtract the dead-reckoning slack Δ since the focal position is
         // only known to within Δ (§4.2, DESIGN.md). The circumscribing
         // radius upper-bounds the region for any shape.
-        double closing_speed = me.max_speed + entry.focal_max_speed;
+        if (dist < 0.0) dist = geo::Distance(me, focal_pos);
+        double closing_speed =
+            world_->max_speed(oid_) + entry.focal_max_speed;
         double gap = dist - entry.region.MaxReach() -
                      options_.dead_reckoning_threshold;
         if (gap > 0.0) {
@@ -205,8 +200,7 @@ void MobiEyesClient::SendFlipReports(const std::vector<size_t>& dirty_groups) {
 }
 
 void MobiEyesClient::SendVelocityReport() {
-  const mobility::ObjectState& me = world_->object(oid_);
-  last_relayed_ = FocalState{me.pos, me.vel, world_->now()};
+  last_relayed_ = OwnState(world_->now());
   net::Message message =
       net::MakeMessage(net::VelocityChangeReport{oid_, last_relayed_});
   if (options_.enable_reliable_uplink) {
@@ -303,15 +297,14 @@ void MobiEyesClient::TrackUplink(net::Message& message, PendingUplink entry) {
 }
 
 net::Message MobiEyesClient::RebuildPending(const PendingUplink& pending) {
-  const mobility::ObjectState& me = world_->object(oid_);
   switch (pending.type) {
     case net::MessageType::kVelocityChangeReport:
-      last_relayed_ = FocalState{me.pos, me.vel, world_->now()};
+      last_relayed_ = OwnState(world_->now());
       return net::MakeMessage(
           net::VelocityChangeReport{oid_, last_relayed_});
     case net::MessageType::kCellChangeReport:
-      return net::MakeMessage(
-          net::CellChangeReport{oid_, pending.prev_cell, me.cell});
+      return net::MakeMessage(net::CellChangeReport{
+          oid_, pending.prev_cell, world_->cell(oid_)});
     default: {
       net::ResultBitmapReport report;
       report.oid = oid_;
@@ -370,10 +363,9 @@ void MobiEyesClient::MaybeReconcile() {
 }
 
 void MobiEyesClient::SendReconcile(bool cold_start) {
-  const mobility::ObjectState& me = world_->object(oid_);
   net::LqtReconcileRequest request;
   request.oid = oid_;
-  request.cell = me.cell;
+  request.cell = world_->cell(oid_);
   request.cold_start = cold_start;
   request.known_qids.reserve(lqt_.size());
   for (const LqtEntry& entry : lqt_) {
@@ -391,7 +383,7 @@ void MobiEyesClient::Reset() {
   pending_.clear();
   has_mq_ = false;
   last_relayed_ = FocalState{};
-  prev_cell_ = world_->object(oid_).cell;
+  prev_cell_ = world_->cell(oid_);
   // ISN-style restart: deriving the first sequence number from the tick
   // clock keeps the new incarnation's seq range disjoint from the old
   // one's, so the server's dedup ring never mistakes fresh uplinks for
@@ -406,15 +398,15 @@ void MobiEyesClient::Reset() {
 }
 
 void MobiEyesClient::OnDownlink(const Message& message) {
-  const mobility::ObjectState& me = world_->object(oid_);
+  // Each case reads only the world fields it needs: this runs for every
+  // broadcast reception, and most receptions need none.
   Seconds now = world_->now();
 
   switch (message.type) {
     case net::MessageType::kPositionVelocityRequest: {
       network_->SendUplink(
-          oid_,
-          net::MakeMessage(net::PositionVelocityReport{
-              oid_, FocalState{me.pos, me.vel, now}, me.max_speed}));
+          oid_, net::MakeMessage(net::PositionVelocityReport{
+                    oid_, OwnState(now), world_->max_speed(oid_)}));
       break;
     }
     case net::MessageType::kFocalNotification: {
@@ -425,7 +417,7 @@ void MobiEyesClient::OnDownlink(const Message& message) {
         has_mq_ = true;
         // Mirror what the server just recorded in the FOT: the state this
         // object reported during the installation round trip.
-        last_relayed_ = FocalState{me.pos, me.vel, now};
+        last_relayed_ = OwnState(now);
       }
       break;
     }
@@ -459,11 +451,12 @@ void MobiEyesClient::OnDownlink(const Message& message) {
     case net::MessageType::kQueryUpdateBroadcast: {
       const auto& broadcast =
           std::get<net::QueryUpdateBroadcast>(message.payload);
+      const geo::CellCoord cell = world_->cell(oid_);
       std::vector<size_t> stale;
       for (const QueryInfo& info : broadcast.queries) {
         LqtEntry* entry = FindEntry(info.qid);
         if (entry != nullptr) {
-          if (info.mon_region.Contains(me.cell)) {
+          if (info.mon_region.Contains(cell)) {
             entry->focal = info.focal;
             entry->mon_region = info.mon_region;
             entry->lease_expires_at = LeaseExpiry(now);
@@ -517,9 +510,8 @@ void MobiEyesClient::OnDownlink(const Message& message) {
 
 void MobiEyesClient::InstallIfApplicable(const QueryInfo& info) {
   if (info.focal_oid == oid_) return;  // never a target of its own query
-  const mobility::ObjectState& me = world_->object(oid_);
-  if (!info.mon_region.Contains(me.cell)) return;
-  if (me.attr > info.filter_threshold) return;  // filter not satisfied
+  if (!info.mon_region.Contains(world_->cell(oid_))) return;
+  if (world_->attr(oid_) > info.filter_threshold) return;  // filter unmet
 
   if (LqtEntry* existing = FindEntry(info.qid)) {
     existing->focal = info.focal;

@@ -138,6 +138,11 @@ class MobiEyesClient {
   // Periodic LQT/result reconciliation uplink, staggered by object id.
   void MaybeReconcile();
   void SendReconcile(bool cold_start);
+  // This object's true kinematics at `now`, as it reports them.
+  net::FocalState OwnState(Seconds now) const {
+    return net::FocalState{world_->position(oid_), world_->velocity(oid_),
+                           now};
+  }
   Seconds LeaseExpiry(Seconds now) const {
     return options_.lease_duration > 0.0
                ? now + 2.0 * options_.lease_duration

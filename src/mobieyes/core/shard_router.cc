@@ -1054,7 +1054,7 @@ void ShardRouter::SendDownlink(ObjectId to, Message message) {
 }
 
 void ShardRouter::BroadcastToRegion(const geo::CellRange& region,
-                                    Message message) {
+                                    const Message& message) {
   if (replaying_) return;  // see SendDownlink
   std::vector<BaseStationId> cover = bmap_->MinimalCover(region);
   // Computing the cover is server work; the per-station delivery below is

@@ -234,7 +234,8 @@ class ShardRouter {
 
   net::QueryInfo BuildQueryInfo(const ServerShard& home,
                                 const SqtEntry& entry) const;
-  void BroadcastToRegion(const geo::CellRange& region, net::Message message);
+  void BroadcastToRegion(const geo::CellRange& region,
+                         const net::Message& message);
   void SendDownlink(ObjectId to, net::Message message);
 
   // Runs fn(shard_index) for every shard — on the pool when attached and

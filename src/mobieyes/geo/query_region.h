@@ -68,6 +68,15 @@ struct QueryRegion {
     return shape == Shape::kCircle ? radius : std::hypot(half_w, half_h);
   }
 
+  // Square of the circumscribing radius, in the containment lanes' own
+  // arithmetic (geo/batch_kernels.h): a point whose squared distance from
+  // the binding point exceeds it is outside the region by the lanes' test
+  // too, so a squared-distance early-out never disagrees with them.
+  double MaxReachSquared() const {
+    return shape == Shape::kCircle ? radius * radius
+                                   : half_w * half_w + half_h * half_h;
+  }
+
   friend bool operator==(const QueryRegion&, const QueryRegion&) = default;
 };
 

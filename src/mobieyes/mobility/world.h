@@ -21,8 +21,9 @@ namespace mobieyes::mobility {
 // Object state is stored as structure-of-arrays (x/y/vx/vy/max_speed/attr
 // as separate dense arrays indexed by oid) so the per-step advance loop and
 // the containment kernels stream contiguous doubles instead of striding
-// through ObjectState structs. `ObjectState` remains the protocol layer's
-// view: object() materializes one on demand.
+// through ObjectState structs. Protocol code reads the single fields it
+// needs (position(), cell(), ...); object() materializes a whole
+// ObjectState and is kept for cold paths such as tests and tools.
 //
 // The spatial index is CSR-style: one flat `cell_items_` array of object
 // ids partitioned into contiguous per-cell spans by `cell_start_` offsets
@@ -52,7 +53,8 @@ class World {
   const geo::Grid& grid() const { return *grid_; }
   size_t object_count() const { return x_.size(); }
 
-  // Materializes the protocol-layer view of one object from the SoA state.
+  // Materializes a whole ObjectState from the SoA state, for cold paths:
+  // per-step protocol code uses the field accessors below instead.
   // Returns by value; callers binding `const ObjectState&` get the usual
   // temporary lifetime extension.
   ObjectState object(ObjectId oid) const {

@@ -141,8 +141,8 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
   if (track_per_object_bytes_) {
     stats_.rx_bytes_per_object[to] += bytes;
   }
-  auto it = clients_.find(to);
-  if (it == clients_.end()) {
+  const ClientHandler* handler = FindClient(to);
+  if (handler == nullptr) {
     // The transmission happened (counted above) but nobody decodes it: an
     // observable routing failure rather than a silent no-op.
     ++stats_.undeliverable_downlinks;
@@ -151,11 +151,12 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
     if (metrics_attached_) metrics_.undeliverable->Increment();
     return false;
   }
-  it->second(message);
+  (*handler)(message);
   return true;
 }
 
-void WirelessNetwork::Broadcast(const BaseStation& station, Message message) {
+void WirelessNetwork::Broadcast(const BaseStation& station,
+                                const Message& message) {
   if (observer_) observer_(Direction::kBroadcast, station.id, message);
   size_t bytes = WireSizeBytes(message);
   ++stats_.downlink_messages;
@@ -184,8 +185,7 @@ void WirelessNetwork::Broadcast(const BaseStation& station, Message message) {
     }
   }
   for (ObjectId oid : receivers) {
-    auto it = clients_.find(oid);
-    if (it != clients_.end()) it->second(message);
+    if (const ClientHandler* handler = FindClient(oid)) (*handler)(message);
   }
   --broadcast_depth_;
 }

@@ -162,8 +162,15 @@ class WirelessNetwork {
   void set_server_handler(ServerHandler handler) {
     server_handler_ = std::move(handler);
   }
+  // Object ids are dense (0..N-1), so the handler table is indexed by id.
+  // Re-registering an id replaces its handler; a negative id is ignored.
+  // Register before traffic flows: growing the table from inside a delivery
+  // would move the handler that is running.
   void RegisterClient(ObjectId oid, ClientHandler handler) {
-    clients_[oid] = std::move(handler);
+    if (oid < 0) return;
+    const auto k = static_cast<size_t>(oid);
+    if (k >= clients_.size()) clients_.resize(k + 1);
+    clients_[k] = std::move(handler);
   }
   // Virtual so FaultyNetwork can wrap the query with a disconnected-object
   // filter before broadcasts consult it.
@@ -189,8 +196,10 @@ class WirelessNetwork {
   virtual bool SendDownlinkTo(ObjectId to, Message message);
 
   // Server -> all objects under `station` (one downlink message on the
-  // medium; every covered object receives and decodes it).
-  virtual void Broadcast(const BaseStation& station, Message message);
+  // medium; every covered object receives and decodes it). The message is
+  // only read, so a caller covering a region with several stations passes
+  // the same one to each.
+  virtual void Broadcast(const BaseStation& station, const Message& message);
 
   const NetworkStats& stats() const { return stats_; }
   void ResetStats() { stats_ = NetworkStats{}; }
@@ -229,8 +238,17 @@ class WirelessNetwork {
   void RecordMetrics(Direction direction, const Message& message,
                      size_t bytes);
 
+  // The handler registered for `oid`, or nullptr when there is none: an id
+  // outside the table (negative or past the end) or a gap in it.
+  const ClientHandler* FindClient(ObjectId oid) const {
+    if (static_cast<uint64_t>(oid) >= clients_.size()) return nullptr;
+    const ClientHandler& handler = clients_[static_cast<size_t>(oid)];
+    return handler ? &handler : nullptr;
+  }
+
   ServerHandler server_handler_;
-  std::unordered_map<ObjectId, ClientHandler> clients_;
+  // Indexed by ObjectId; an empty handler marks an unregistered id.
+  std::vector<ClientHandler> clients_;
   CoverageQuery coverage_query_;
   Observer observer_;
   NetworkStats stats_;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "mobieyes/geo/batch_kernels.h"
+#include "mobieyes/sim/oracle.h"
 #include "test_harness.h"
 
 namespace mobieyes::core {
@@ -152,6 +156,33 @@ TEST(ClientTest, BoundaryContainmentIsInclusive) {
   ASSERT_TRUE(qid.ok());
   deployment.client(1).OnTick();
   EXPECT_EQ(deployment.client(1).IsTargetOf(*qid), std::optional<bool>(true));
+}
+
+TEST(ClientTest, NearBoundaryContainmentMatchesKernelLaneAndOracle) {
+  // A point within a few ulps of a radius-3 circle where the rounded
+  // hypot says "outside" but the squared-distance lane says "inside". The
+  // client must classify it like the lane and the oracle do.
+  const Point focal{50, 50};
+  const Point target{52.999996207850799, 50.004769997990174};
+  const double radius = 3.0;
+  const double dx = target.x - focal.x;
+  const double dy = target.y - focal.y;
+  ASSERT_GT(std::hypot(dx, dy), radius);
+  ASSERT_LE(dx * dx + dy * dy, radius * radius);
+
+  MiniDeployment deployment({{focal}, {target}});
+  auto qid = deployment.server().InstallQuery(0, radius, 1.0);
+  ASSERT_TRUE(qid.ok());
+  deployment.client(1).OnTick();
+
+  const auto region = geo::QueryRegion::MakeCircle(radius);
+  EXPECT_TRUE(geo::kernels::RegionLane(region, focal.x, focal.y, target.x,
+                                       target.y));
+  EXPECT_TRUE(sim::ExactOracle(deployment.world())
+                  .Evaluate(0, radius, 1.0)
+                  .contains(1));
+  EXPECT_EQ(deployment.client(1).IsTargetOf(*qid), std::optional<bool>(true));
+  EXPECT_TRUE(deployment.server().QueryResult(*qid)->contains(1));
 }
 
 TEST(ClientTest, IsTargetOfUnknownQueryIsNullopt) {

@@ -89,6 +89,49 @@ TEST(FaultInjectionTest, DuplicateDeliversTwice) {
   EXPECT_EQ(network.stats().downlink_messages, 2u);
 }
 
+TEST(FaultInjectionTest, DeferredAndDuplicatedBroadcastsKeepTheirPayload) {
+  FaultPlan plan;
+  plan.duplicate_rate = 1.0;
+  FaultyNetwork network(plan);
+  std::vector<std::vector<QueryId>> received;
+  network.RegisterClient(0, [&](const Message& message) {
+    received.push_back(std::get<QueryRemoveBroadcast>(message.payload).qids);
+  });
+  network.set_coverage_query(
+      [](const geo::Circle&, const std::function<void(ObjectId)>& fn) {
+        fn(0);
+      });
+  BaseStation station{0, geo::Circle{Point{50, 50}, 30.0}};
+  network.AdvanceStep(0);
+
+  // Broadcast takes the message by reference: both duplicates are sent
+  // from the caller's temporary.
+  network.Broadcast(station, MakeMessage(QueryRemoveBroadcast{{1, 2, 3}}));
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(received[1], (std::vector<QueryId>{1, 2, 3}));
+
+  // A deferred broadcast keeps its own copy past the caller's temporary.
+  FaultPlan delayed_plan = plan;
+  delayed_plan.delay_rate = 1.0;
+  delayed_plan.max_delay_steps = 1;
+  FaultyNetwork delayed(delayed_plan);
+  received.clear();
+  delayed.RegisterClient(0, [&](const Message& message) {
+    received.push_back(std::get<QueryRemoveBroadcast>(message.payload).qids);
+  });
+  delayed.set_coverage_query(
+      [](const geo::Circle&, const std::function<void(ObjectId)>& fn) {
+        fn(0);
+      });
+  delayed.AdvanceStep(0);
+  delayed.Broadcast(station, MakeMessage(QueryRemoveBroadcast{{4, 5}}));
+  EXPECT_TRUE(received.empty());
+  delayed.AdvanceStep(1);
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(received[0], (std::vector<QueryId>{4, 5}));
+  EXPECT_EQ(received[1], (std::vector<QueryId>{4, 5}));
+}
+
 TEST(FaultInjectionTest, OutageSilencesBroadcastsWhole) {
   FaultPlan plan;
   plan.outage_period_steps = 1;  // duration == period: permanently dark

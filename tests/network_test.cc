@@ -42,6 +42,13 @@ TEST(NetworkTest, DownlinkReachesOnlyTarget) {
   EXPECT_EQ(deliveries_to_2, 0);
   EXPECT_EQ(network.stats().downlink_messages, 1u);
   EXPECT_EQ(network.stats().broadcast_messages, 0u);
+
+  // Re-registering an id replaces its handler.
+  int replacement_deliveries = 0;
+  network.RegisterClient(1, [&](const Message&) { ++replacement_deliveries; });
+  EXPECT_TRUE(network.SendDownlinkTo(1, Ping()));
+  EXPECT_EQ(deliveries_to_1, 1);
+  EXPECT_EQ(replacement_deliveries, 1);
 }
 
 TEST(NetworkTest, BroadcastReachesObjectsInCoverage) {
@@ -73,6 +80,27 @@ TEST(NetworkTest, BroadcastReachesObjectsInCoverage) {
   EXPECT_TRUE(network.stats().rx_bytes_per_object.contains(0));
   EXPECT_TRUE(network.stats().rx_bytes_per_object.contains(1));
   EXPECT_FALSE(network.stats().rx_bytes_per_object.contains(2));
+}
+
+TEST(NetworkTest, BroadcastSkipsCoveredObjectWithoutHandler) {
+  WirelessNetwork network;
+  // Coverage names 0, 1 and 2; only 0 and 2 have handlers, so 1 is a gap
+  // in the client table.
+  network.set_coverage_query(
+      [](const geo::Circle&, const std::function<void(ObjectId)>& fn) {
+        for (ObjectId oid = 0; oid < 3; ++oid) fn(oid);
+      });
+  std::vector<int> deliveries(3, 0);
+  for (ObjectId oid : {0, 2}) {
+    network.RegisterClient(oid, [&deliveries, oid](const Message&) {
+      ++deliveries[static_cast<size_t>(oid)];
+    });
+  }
+  BaseStation station{0, geo::Circle{geo::Point{0, 0}, 5.0}};
+  network.Broadcast(station, Ping());
+  EXPECT_EQ(deliveries, (std::vector<int>{1, 0, 1}));
+  // Every covered object counts as a reception, handler or not.
+  EXPECT_EQ(network.stats().broadcast_receptions, 3u);
 }
 
 TEST(NetworkTest, ReentrantDeliveryIsSafe) {
@@ -148,6 +176,37 @@ TEST(NetworkTest, UnregisteredRecipientDropsSilently) {
   WirelessNetwork network;
   network.SendDownlinkTo(99, Ping());  // no client registered: no crash
   EXPECT_EQ(network.stats().downlink_messages, 1u);
+
+  int deliveries = 0;
+  network.RegisterClient(5, [&](const Message&) { ++deliveries; });
+  const auto no_handler = [&network] {
+    return network.stats().undeliverable_by_reason[static_cast<size_t>(
+        NetworkStats::UndeliverableReason::kNoHandler)];
+  };
+  // A gap below the largest registered id, an id past the end of the
+  // table and the invalid id each count one undeliverable downlink.
+  EXPECT_FALSE(network.SendDownlinkTo(2, Ping()));
+  EXPECT_EQ(no_handler(), 2u);
+  EXPECT_FALSE(network.SendDownlinkTo(6, Ping()));
+  EXPECT_EQ(no_handler(), 3u);
+  EXPECT_FALSE(network.SendDownlinkTo(kInvalidObjectId, Ping()));
+  EXPECT_EQ(no_handler(), 4u);
+  EXPECT_EQ(network.stats().undeliverable_downlinks, 4u);
+  EXPECT_TRUE(network.SendDownlinkTo(5, Ping()));
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(network.stats().downlink_messages, 5u);
+}
+
+TEST(NetworkTest, NegativeIdRegistrationIsRejected) {
+  WirelessNetwork network;
+  int deliveries = 0;
+  network.RegisterClient(-3, [&](const Message&) { ++deliveries; });
+  network.RegisterClient(kInvalidObjectId,
+                         [&](const Message&) { ++deliveries; });
+  EXPECT_FALSE(network.SendDownlinkTo(-3, Ping()));
+  EXPECT_FALSE(network.SendDownlinkTo(kInvalidObjectId, Ping()));
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(network.stats().undeliverable_downlinks, 2u);
 }
 
 TEST(NetworkTest, PerTypeCountersSumToTotalMessages) {
