@@ -6,7 +6,7 @@
 //     bool test per network send.
 //  2. What does turning metrics / tracing / sampling on cost end to end?
 //  3. What do the primitives cost in isolation (disabled span, enabled
-//     span, counter increment, histogram observe)?
+//     span, counter increment, histogram observe, load-timer stopwatch)?
 //
 // Run with --benchmark_format=json to regenerate BENCH_observability.json.
 
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "mobieyes/common/stopwatch.h"
 #include "mobieyes/obs/heatmap.h"
 #include "mobieyes/obs/lifecycle.h"
 #include "mobieyes/obs/metrics_registry.h"
@@ -184,6 +185,34 @@ void BM_LifecycleStampResolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LifecycleStampResolve);
+
+// One Start/Stop interval of the accumulating stopwatch: two clock reads
+// plus an add. The client's LQT-evaluation stopwatch pays this per tick.
+void BM_StopwatchStartStop(benchmark::State& state) {
+  mobieyes::Stopwatch watch;
+  for (auto _ : state) {
+    watch.Start();
+    benchmark::ClobberMemory();
+    watch.Stop();
+  }
+  benchmark::DoNotOptimize(watch.total_seconds());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StopwatchStartStop);
+
+// A TimerPause around foreign work inside a running ReentrantTimer: one
+// stop and one restart of the clock — what the server-load timer pays
+// around every downlink and broadcast delivery.
+void BM_ReentrantTimerPauseResume(benchmark::State& state) {
+  mobieyes::ReentrantTimer timer;
+  mobieyes::TimedSection timed(timer);
+  for (auto _ : state) {
+    mobieyes::TimerPause pause(timer);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReentrantTimerPauseResume);
 
 }  // namespace
 

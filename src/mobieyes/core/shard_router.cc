@@ -186,24 +186,21 @@ bool ShardRouter::UplinkHeatCell(const Message& message,
 }
 
 int ShardRouter::ShardOfQuery(QueryId qid) const {
-  auto it = qid_home_.find(qid);
-  return it == qid_home_.end() ? -1 : it->second;
+  return qid_home_.Find(qid);
 }
 
 int ShardRouter::ShardOfFocal(ObjectId oid) const {
-  auto it = focal_home_.find(oid);
-  return it == focal_home_.end() ? -1 : it->second;
+  return focal_home_.Find(oid);
 }
 
 SqtEntry* ShardRouter::MutableQuery(QueryId qid) {
-  auto it = qid_home_.find(qid);
-  return it == qid_home_.end() ? nullptr : shards_[it->second]->FindQuery(qid);
+  const int home = qid_home_.Find(qid);
+  return home < 0 ? nullptr : shards_[home]->FindQuery(qid);
 }
 
 FotEntry* ShardRouter::MutableFocal(ObjectId oid) {
-  auto it = focal_home_.find(oid);
-  return it == focal_home_.end() ? nullptr
-                                 : shards_[it->second]->FindFocal(oid);
+  const int home = focal_home_.Find(oid);
+  return home < 0 ? nullptr : shards_[home]->FindFocal(oid);
 }
 
 const std::vector<QueryId>& ShardRouter::QueriesForCell(
@@ -222,9 +219,8 @@ const std::vector<QueryId>& ShardRouter::RqiRow(
 }
 
 int ShardRouter::MigrateIfNeeded(ObjectId oid) {
-  auto home_it = focal_home_.find(oid);
-  if (home_it == focal_home_.end()) return -1;
-  int home = home_it->second;
+  const int home = focal_home_.Find(oid);
+  if (home < 0) return -1;
   ServerShard& src = *shards_[home];
   const FotEntry* focal = src.FindFocal(oid);
   if (focal == nullptr) return home;
@@ -257,10 +253,10 @@ int ShardRouter::MigrateIfNeeded(ObjectId oid) {
   }
   auto& handoff = std::get<net::ShardHandoff>(message.payload);
   for (const net::ShardQueryState& q : handoff.queries) {
-    qid_home_[q.qid] = target;
+    qid_home_.Set(q.qid, target);
   }
   shards_[target]->AdoptFocal(std::move(handoff));
-  home_it->second = target;
+  focal_home_.Set(oid, target);
   if (lifecycle_ != nullptr && !replaying_) {
     // Ownership transferred within the dispatch: a same-step (latency 0)
     // round, recorded so handoff volume shows up in the lifecycle table.
@@ -322,16 +318,12 @@ void ShardRouter::ExecuteRebalance(const std::vector<CellMove>& moves) {
   }
 
   // Re-home every focal object whose cell changed owner through the
-  // ordinary handoff path (ascending oid, so the handoff sequence — and
-  // everything accounted along it — is hash-map-order-independent).
-  std::vector<ObjectId> oids;
-  oids.reserve(focal_home_.size());
-  for (const auto& [oid, home] : focal_home_) oids.push_back(oid);
-  std::sort(oids.begin(), oids.end());
+  // ordinary handoff path, in ascending oid order (the home table's order),
+  // which fixes the handoff sequence and everything accounted along it.
   uint64_t focals_moved = 0;
-  for (ObjectId oid : oids) {
-    const int before = focal_home_.at(oid);
-    if (MigrateIfNeeded(oid) != before) ++focals_moved;
+  for (ObjectId oid = 0; oid < focal_home_.id_end(); ++oid) {
+    const int before = focal_home_.Find(oid);
+    if (before >= 0 && MigrateIfNeeded(oid) != before) ++focals_moved;
   }
 
   ++rebalance_stats_.events;
@@ -413,8 +405,11 @@ Result<QueryId> ShardRouter::InstallQuery(ObjectId focal_oid,
       return Status::NotFound("focal object did not report its position");
     }
   }
+  if (next_qid_ >= kMaxDenseId) {
+    return Status::OutOfRange("query id space exhausted");
+  }
   // Installation executes on the focal's home shard.
-  const int home = focal_home_.at(focal_oid);
+  const int home = focal_home_.Find(focal_oid);
   ctx_shard_ = home;
   ServerShard& shard = *shards_[home];
   FotEntry& focal = *shard.FindFocal(focal_oid);
@@ -443,7 +438,7 @@ Result<QueryId> ShardRouter::InstallQuery(ObjectId focal_oid,
   focal.queries.push_back(qid);
   auto [it, inserted] = shard.sqt().emplace(qid, std::move(entry));
   (void)inserted;
-  qid_home_.emplace(qid, home);
+  qid_home_.Insert(qid, home);
   ChargeHeat(obs::HeatMap::kInstalls, it->second.curr_cell, 1);
   if (lifecycle_ != nullptr && !replaying_) {
     // Install->first-result round, closed when the first target report for
@@ -514,7 +509,7 @@ void ShardRouter::RenewLeases() {
   // sequence downstream) is independent of hash-map iteration order.
   std::sort(due.begin(), due.end());
   for (QueryId qid : due) {
-    const int home = qid_home_.at(qid);
+    const int home = qid_home_.Find(qid);
     ctx_shard_ = home;
     ServerShard& shard = *shards_[home];
     SqtEntry& entry = *shard.FindQuery(qid);
@@ -535,16 +530,15 @@ void ShardRouter::RenewLeases() {
 
 Status ShardRouter::RemoveQuery(QueryId qid) {
   TimedSection timed(load_timer_);
-  auto home_it = qid_home_.find(qid);
-  if (home_it == qid_home_.end()) return Status::NotFound("unknown query id");
-  const int home = home_it->second;
+  const int home = qid_home_.Find(qid);
+  if (home < 0) return Status::NotFound("unknown query id");
   ctx_shard_ = home;
   ServerShard& shard = *shards_[home];
   auto it = shard.sqt().find(qid);
   if (it == shard.sqt().end()) return Status::NotFound("unknown query id");
   SqtEntry entry = std::move(it->second);
   shard.sqt().erase(it);
-  qid_home_.erase(home_it);
+  qid_home_.Erase(qid);
   RqiRemoveAll(qid, entry.mon_region);
   if (lifecycle_ != nullptr && !replaying_) {
     // A query removed before any target reported cancels its open
@@ -565,7 +559,7 @@ Status ShardRouter::RemoveQuery(QueryId qid) {
                    net::MakeMessage(net::FocalNotification{
                        entry.focal_oid, kInvalidQueryId}));
       shard.fot().erase(fot_it);
-      focal_home_.erase(entry.focal_oid);
+      focal_home_.Erase(entry.focal_oid);
     }
   }
 
@@ -580,8 +574,7 @@ int ShardRouter::IngressShard(const Message& message) const {
   switch (message.type) {
     case net::MessageType::kQueryInstallRequest: {
       const auto& p = std::get<net::QueryInstallRequest>(message.payload);
-      auto it = focal_home_.find(p.oid);
-      return it == focal_home_.end() ? 0 : it->second;
+      return std::max(focal_home_.Find(p.oid), 0);
     }
     case net::MessageType::kPositionVelocityReport: {
       const auto& p = std::get<net::PositionVelocityReport>(message.payload);
@@ -598,8 +591,8 @@ int ShardRouter::IngressShard(const Message& message) const {
     case net::MessageType::kResultBitmapReport: {
       const auto& p = std::get<net::ResultBitmapReport>(message.payload);
       for (QueryId qid : p.qids) {
-        auto it = qid_home_.find(qid);
-        if (it != qid_home_.end()) return it->second;
+        const int home = qid_home_.Find(qid);
+        if (home >= 0) return home;
       }
       return 0;
     }
@@ -733,19 +726,21 @@ void ShardRouter::HandleQueryInstallRequest(
 
 void ShardRouter::HandlePositionVelocityReport(
     const net::PositionVelocityReport& report) {
-  auto home_it = focal_home_.find(report.oid);
-  if (home_it == focal_home_.end()) {
+  // The home table is indexed by oid: an id no world can hold is ignored
+  // (this also covers WAL replay of a hostile log).
+  if (report.oid < 0 || report.oid >= kMaxDenseId) return;
+  const int home = focal_home_.Find(report.oid);
+  if (home < 0) {
     // New focal object: home it on its reported cell's shard (the ingress).
     FotEntry entry;
     entry.state = report.state;
     entry.max_speed = report.max_speed;
     entry.cell = grid_->CellOf(report.state.pos);
-    const int home = map_.ShardOf(entry.cell);
-    shards_[home]->fot().emplace(report.oid, std::move(entry));
-    focal_home_.emplace(report.oid, home);
+    const int ingress = map_.ShardOf(entry.cell);
+    shards_[ingress]->fot().emplace(report.oid, std::move(entry));
+    focal_home_.Insert(report.oid, ingress);
     return;
   }
-  const int home = home_it->second;
   if (home != ctx_shard_) CountOp(home, kOpReportForward);
   FotEntry& entry = *shards_[home]->FindFocal(report.oid);
   entry.state = report.state;
@@ -756,9 +751,8 @@ void ShardRouter::HandlePositionVelocityReport(
 
 void ShardRouter::HandleVelocityChange(
     const net::VelocityChangeReport& report) {
-  auto home_it = focal_home_.find(report.oid);
-  if (home_it == focal_home_.end()) return;  // stale report, unbound object
-  int home = home_it->second;
+  int home = focal_home_.Find(report.oid);
+  if (home < 0) return;  // stale report, unbound object
   if (home != ctx_shard_) CountOp(home, kOpReportForward);
   FotEntry* focal_ptr = shards_[home]->FindFocal(report.oid);
   // A delayed or retransmitted report can arrive after a newer one; relaying
@@ -843,7 +837,7 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
                                          &new_qids);
     // The object never monitors its own queries.
     std::erase_if(new_qids, [&](QueryId qid) {
-      const int home = qid_home_.at(qid);
+      const int home = qid_home_.Find(qid);
       CountOp(home, kOpEntryTouch);
       return shards_[home]->FindQuery(qid)->focal_oid == report.oid;
     });
@@ -851,7 +845,7 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
       net::NewQueriesNotification notification;
       notification.oid = report.oid;
       for (QueryId qid : new_qids) {
-        const int home = qid_home_.at(qid);
+        const int home = qid_home_.Find(qid);
         CountOp(home, kOpEntryRead);
         notification.queries.push_back(
             BuildQueryInfo(*shards_[home], *shards_[home]->FindQuery(qid)));
@@ -865,9 +859,9 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
   // regions. The focal (and its queries) first migrate to the new cell's
   // shard — which is the ingress shard — if a partition boundary was
   // crossed.
-  auto home_it = focal_home_.find(report.oid);
-  if (home_it == focal_home_.end()) return;
-  shards_[home_it->second]->FindFocal(report.oid)->cell = report.new_cell;
+  const int prev_home = focal_home_.Find(report.oid);
+  if (prev_home < 0) return;
+  shards_[prev_home]->FindFocal(report.oid)->cell = report.new_cell;
   const int home = MigrateIfNeeded(report.oid);
   ServerShard& shard = *shards_[home];
   FotEntry& focal = *shard.FindFocal(report.oid);
@@ -915,10 +909,10 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
 
 void ShardRouter::HandleResultBitmap(const net::ResultBitmapReport& report) {
   for (size_t k = 0; k < report.qids.size(); ++k) {
-    auto home_it = qid_home_.find(report.qids[k]);
-    if (home_it == qid_home_.end()) continue;
-    CountOp(home_it->second, kOpResultFlip);
-    SqtEntry* entry = shards_[home_it->second]->FindQuery(report.qids[k]);
+    const int home = qid_home_.Find(report.qids[k]);
+    if (home < 0) continue;
+    CountOp(home, kOpResultFlip);
+    SqtEntry* entry = shards_[home]->FindQuery(report.qids[k]);
     bool is_target = (report.bitmap >> k) & 1;
     if (is_target) {
       entry->result.insert(report.oid);
@@ -949,10 +943,10 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     // A restarted focal object also lost hasMQ; without this repair it
     // would stop dead-reckoning for its queries until the next lease
     // renewal.
-    auto home_it = focal_home_.find(request.oid);
-    if (home_it != focal_home_.end()) {
-      CountOp(home_it->second, kOpEntryTouch);
-      const FotEntry* focal = shards_[home_it->second]->FindFocal(request.oid);
+    const int home = focal_home_.Find(request.oid);
+    if (home >= 0) {
+      CountOp(home, kOpEntryTouch);
+      const FotEntry* focal = shards_[home]->FindFocal(request.oid);
       if (focal != nullptr && !focal->queries.empty()) {
         SendDownlink(request.oid,
                      net::MakeMessage(net::FocalNotification{
@@ -967,7 +961,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   const std::vector<QueryId>& cell_row = RqiRow(request.cell, &scan_row_a_);
   ChargeHeat(obs::HeatMap::kRqiScan, request.cell, cell_row.size());
   for (QueryId qid : cell_row) {
-    const int home = qid_home_.at(qid);
+    const int home = qid_home_.Find(qid);
     CountOp(home, kOpEntryTouch);
     if (shards_[home]->FindQuery(qid)->focal_oid != request.oid) {
       expected.push_back(qid);
@@ -993,7 +987,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   for (QueryId qid : request.known_qids) {
     SqtEntry* entry = MutableQuery(qid);
     if (entry == nullptr) continue;
-    CountOp(qid_home_.at(qid), kOpResultFlip);
+    CountOp(qid_home_.Find(qid), kOpResultFlip);
     if (targets.contains(qid)) {
       entry->result.insert(request.oid);
       if (lifecycle_ != nullptr && !replaying_) {
@@ -1008,7 +1002,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   for (QueryId qid : stale) {
     SqtEntry* entry = MutableQuery(qid);
     if (entry != nullptr) {
-      CountOp(qid_home_.at(qid), kOpEntryTouch);
+      CountOp(qid_home_.Find(qid), kOpEntryTouch);
       entry->result.erase(request.oid);
     }
   }
@@ -1017,7 +1011,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     net::NewQueriesNotification notification;
     notification.oid = request.oid;
     for (QueryId qid : missing) {
-      const int home = qid_home_.at(qid);
+      const int home = qid_home_.Find(qid);
       CountOp(home, kOpEntryRead);
       notification.queries.push_back(
           BuildQueryInfo(*shards_[home], *shards_[home]->FindQuery(qid)));
@@ -1076,15 +1070,13 @@ Result<std::unordered_set<ObjectId>> ShardRouter::QueryResult(
 }
 
 const SqtEntry* ShardRouter::FindQuery(QueryId qid) const {
-  auto it = qid_home_.find(qid);
-  return it == qid_home_.end() ? nullptr
-                               : shards_[it->second]->FindQuery(qid);
+  const int home = qid_home_.Find(qid);
+  return home < 0 ? nullptr : shards_[home]->FindQuery(qid);
 }
 
 const FotEntry* ShardRouter::FindFocal(ObjectId oid) const {
-  auto it = focal_home_.find(oid);
-  return it == focal_home_.end() ? nullptr
-                                 : shards_[it->second]->FindFocal(oid);
+  const int home = focal_home_.Find(oid);
+  return home < 0 ? nullptr : shards_[home]->FindFocal(oid);
 }
 
 void ShardRouter::Checkpoint() {
@@ -1235,13 +1227,18 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
   r.U16();  // reserved
 
   for (auto& shard : shards_) shard->Clear();
-  focal_home_.clear();
-  qid_home_.clear();
+  focal_home_.Clear();
+  qid_home_.Clear();
   seen_seqs_.clear();
   seen_order_.clear();
 
   now_ = r.F64();
   next_qid_ = r.I64();
+  // Every id below indexes a dense home table: bound them before any
+  // table grows to cover one.
+  if (r.ok() && (next_qid_ < 0 || next_qid_ > kMaxDenseId)) {
+    return Status::InvalidArgument("checkpoint: query id counter out of range");
+  }
 
   // Partition epoch first: the entries below re-home through map_.ShardOf,
   // which must already answer under the restored assignment.
@@ -1288,9 +1285,14 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
       entry.queries.push_back(r.I64());
     }
     if (r.ok()) {
+      if (oid < 0 || oid >= kMaxDenseId) {
+        return Status::InvalidArgument("checkpoint: focal object id range");
+      }
       const int home = map_.ShardOf(entry.cell);
+      if (!focal_home_.Insert(oid, home)) {
+        return Status::InvalidArgument("checkpoint: duplicate focal object");
+      }
       shards_[home]->fot().emplace(oid, std::move(entry));
-      focal_home_.emplace(oid, home);
     }
   }
 
@@ -1310,6 +1312,9 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
       entry.result.insert(r.I64());
     }
     if (!r.ok()) break;
+    if (entry.qid < 0 || entry.qid >= next_qid_) {
+      return Status::InvalidArgument("checkpoint: query id range");
+    }
     // The monitoring region indexes straight into the RQI matrix; a corrupt
     // range would walk out of bounds, so reject it before Add.
     if (entry.mon_region.i_lo > entry.mon_region.i_hi ||
@@ -1321,16 +1326,17 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
     }
     // Queries home with their focal object (co-location invariant); an
     // orphan entry falls back to its current cell's shard.
-    auto focal_it = focal_home_.find(entry.focal_oid);
-    const int home = focal_it != focal_home_.end()
-                         ? focal_it->second
-                         : map_.ShardOf(entry.curr_cell);
+    const int focal_home = focal_home_.Find(entry.focal_oid);
+    const int home =
+        focal_home >= 0 ? focal_home : map_.ShardOf(entry.curr_cell);
+    if (!qid_home_.Insert(entry.qid, home)) {
+      return Status::InvalidArgument("checkpoint: duplicate query id");
+    }
     // RQI rows rebuild in image (sorted-qid) order on the owning shards —
     // the same per-row order the monolith's restore produced.
     for (int s : map_.ShardsIntersecting(entry.mon_region)) {
       shards_[s]->RqiAdd(entry.qid, entry.mon_region);
     }
-    qid_home_.emplace(entry.qid, home);
     shards_[home]->sqt().emplace(entry.qid, std::move(entry));
   }
 

@@ -30,6 +30,48 @@ namespace mobieyes::core {
 
 class ShardTransport;
 
+// Home shard per dense id (ObjectId or QueryId), indexed by the id, -1
+// where absent. Lookups of any id (negative, past the end) are safe and
+// answer "absent"; Insert's caller bounds the id (ShardRouter::kMaxDenseId)
+// because the table grows to cover it.
+class HomeTable {
+ public:
+  int Find(int64_t id) const {
+    return id >= 0 && static_cast<uint64_t>(id) < homes_.size()
+               ? homes_[static_cast<size_t>(id)]
+               : -1;
+  }
+  bool contains(int64_t id) const { return Find(id) >= 0; }
+  // Homes `id` on `home`; false (and no change) if it is already homed.
+  bool Insert(int64_t id, int home) {
+    const auto k = static_cast<size_t>(id);
+    if (k >= homes_.size()) homes_.resize(k + 1, -1);
+    if (homes_[k] >= 0) return false;
+    homes_[k] = home;
+    ++count_;
+    return true;
+  }
+  // Re-homes an id that is present.
+  void Set(int64_t id, int home) { homes_[static_cast<size_t>(id)] = home; }
+  void Erase(int64_t id) {
+    if (!contains(id)) return;
+    homes_[static_cast<size_t>(id)] = -1;
+    --count_;
+  }
+  void Clear() {
+    homes_.clear();
+    count_ = 0;
+  }
+  size_t size() const { return count_; }
+  // One past the largest id the table has slots for: ascending walks run
+  // over [0, id_end()).
+  int64_t id_end() const { return static_cast<int64_t>(homes_.size()); }
+
+ private:
+  std::vector<int32_t> homes_;
+  size_t count_ = 0;
+};
+
 // Coordinator in front of N grid-partitioned ServerShards (DESIGN.md §10).
 // The router owns the protocol: it dispatches every uplink serially in
 // arrival order (the in-process network is synchronous, so responses land
@@ -63,6 +105,12 @@ class ShardRouter {
     uint64_t focals_moved = 0;  // handoffs driven by cell reassignment
     uint64_t rqi_ids_moved = 0;  // query ids carried by moved RQI rows
   };
+
+  // Bound on the ObjectIds and QueryIds the home tables index (2^24,
+  // 16x a million-object world). Checkpoint decode rejects ids at or above
+  // it, position reports naming one are ignored and installs past it fail,
+  // so a hostile image or uplink can make a table at most 64 MiB.
+  static constexpr int64_t kMaxDenseId = int64_t{1} << 24;
 
   ShardRouter(const geo::Grid& grid, const net::BaseStationLayout& layout,
               const net::Bmap& bmap, net::WirelessNetwork& network,
@@ -256,10 +304,11 @@ class ShardRouter {
 
   ShardMap map_;
   std::vector<std::unique_ptr<ServerShard>> shards_;
-  // Home indexes: which shard currently owns each entry. Queries are always
-  // co-located with their focal object.
-  std::unordered_map<ObjectId, int> focal_home_;
-  std::unordered_map<QueryId, int> qid_home_;
+  // Home indexes: which shard currently owns each entry, indexed by the
+  // dense ObjectId / QueryId (qids come from the monotone next_qid_).
+  // Queries are always co-located with their focal object.
+  HomeTable focal_home_;
+  HomeTable qid_home_;
 
   QueryId next_qid_ = 0;
   Seconds now_ = 0.0;

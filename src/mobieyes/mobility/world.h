@@ -1,12 +1,15 @@
 #ifndef MOBIEYES_MOBILITY_WORLD_H_
 #define MOBIEYES_MOBILITY_WORLD_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "mobieyes/common/random.h"
 #include "mobieyes/common/status.h"
 #include "mobieyes/common/units.h"
+#include "mobieyes/geo/batch_kernels.h"
 #include "mobieyes/geo/circle.h"
 #include "mobieyes/geo/grid.h"
 #include "mobieyes/mobility/object_state.h"
@@ -110,24 +113,30 @@ class World {
   // parameter), then moves every object and refreshes the cell index.
   void Step(Seconds dt, int velocity_changes, Rng& rng);
 
-  // Invokes fn for every object whose true position lies inside the circle.
+  // Lanes per CollectCircle call in ForEachObjectInCircle: the kept ids of
+  // one chunk sit in a stack buffer of this many entries.
+  static constexpr size_t kCoverageChunk = 256;
+
+  // Invokes fn for every object whose true position lies inside the circle,
+  // row-major over cells and by ascending oid within a cell. Each row span
+  // goes through the branch-free CollectCircle kernel in fixed chunks; its
+  // lane is bit-equivalent to Circle::Contains, so the receivers and their
+  // order are those of a per-object Contains scan.
   template <typename Visitor>
   void ForEachObjectInCircle(const geo::Circle& circle,
                              const Visitor& fn) const {
     const geo::CellRange cells =
         grid_->CellsIntersecting(circle.BoundingRect());
-    const int64_t columns = grid_->columns();
-    for (int32_t j = cells.j_lo; j <= cells.j_hi; ++j) {
-      const int64_t row = static_cast<int64_t>(j) * columns;
-      const uint32_t begin = cell_start_[row + cells.i_lo];
-      const uint32_t end = cell_start_[row + cells.i_hi + 1];
-      for (uint32_t k = begin; k < end; ++k) {
-        const auto oid = static_cast<size_t>(cell_items_[k]);
-        if (circle.Contains(geo::Point{x_[oid], y_[oid]})) {
-          fn(static_cast<ObjectId>(oid));
-        }
+    const double radius_sq = circle.radius * circle.radius;
+    ForEachRowSpan(cells, [&](const uint32_t* ids, size_t count) {
+      uint32_t kept[kCoverageChunk];
+      for (size_t at = 0; at < count; at += kCoverageChunk) {
+        const size_t m = geo::kernels::CollectCircle(
+            ids + at, std::min(kCoverageChunk, count - at), x_.data(),
+            y_.data(), circle.center.x, circle.center.y, radius_sq, kept);
+        for (size_t k = 0; k < m; ++k) fn(static_cast<ObjectId>(kept[k]));
       }
-    }
+    });
   }
 
   // Invokes fn for every object whose *current grid cell* intersects the

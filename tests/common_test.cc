@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -243,6 +244,53 @@ TEST(ReentrantTimerTest, NestedEntriesCountOnce) {
   double once = timer.total_seconds();
   EXPECT_GT(once, 0.003);
   EXPECT_LT(once, 1.0);
+}
+
+// Busy-waits until `duration` of steady_clock time has passed since the
+// call; unlike a sleep, the interval is bounded by the clock, not the
+// scheduler, from both sides.
+void SpinFor(std::chrono::steady_clock::duration duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// The stopwatch counts raw cycle ticks and converts them with a factor
+// calibrated against steady_clock, so the two must agree over any interval
+// long enough to dwarf a clock read.
+TEST(StopwatchTest, CycleCounterAgreesWithSteadyClock) {
+  Stopwatch watch;
+  const auto begin = std::chrono::steady_clock::now();
+  watch.Start();
+  SpinFor(std::chrono::milliseconds(25));
+  watch.Stop();
+  const double steady = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
+  ASSERT_GE(steady, 0.020);
+  EXPECT_NEAR(watch.total_seconds(), steady, 0.01 * steady);
+}
+
+// A pause around foreign work inside a timed section is excluded from the
+// total. The bounds are relative to the measured wall time, so a slow or
+// loaded host cannot break them.
+TEST(ReentrantTimerTest, PausedSleepIsExcluded) {
+  ReentrantTimer timer;
+  const auto begin = std::chrono::steady_clock::now();
+  {
+    TimedSection timed(timer);
+    SpinFor(std::chrono::milliseconds(2));
+    {
+      TimerPause pause(timer);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    SpinFor(std::chrono::milliseconds(2));
+  }
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count();
+  EXPECT_GT(timer.total_seconds(), 0.0035);
+  EXPECT_LT(timer.total_seconds(), wall - 0.0045);
 }
 
 TEST(ReentrantTimerTest, TimedSectionGuards) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -253,6 +254,64 @@ TEST(ServerRestoreTest, RestoreRejectsTruncatedImages) {
   core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
                              options);
   EXPECT_FALSE(fresh.Restore(bad_magic).ok());
+}
+
+// Checkpoint ids index the router's dense home tables, so decode bounds
+// them before any table grows to cover one: a negative or huge focal oid,
+// a query-id counter out of range, a query id at or above the image's own
+// counter, or an id that appears twice each fail cleanly. (Under ASan a
+// table sized by 2^40 would abort the test on the allocation.)
+TEST(ServerRestoreTest, RestoreRejectsOutOfRangeAndDuplicateIds) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 4; ++k) {
+    specs.push_back(test::ObjectSpec({15.0 + 20.0 * k, 45.0}));
+  }
+  core::MobiEyesOptions options;
+  test::MiniDeployment d(specs, options);
+  core::Snapshot store;
+  d.server().set_durable_store(&store);
+  ASSERT_TRUE(d.server().InstallQuery(1, 14.0, 0.5).ok());
+  ASSERT_TRUE(d.server().InstallQuery(2, 14.0, 0.5).ok());
+  d.TickN(2);
+  d.server().Checkpoint();
+  const std::vector<uint8_t> image = store.checkpoint;
+
+  // Version-1 image layout: magic u32, version u16, reserved u16, now f64,
+  // next_qid i64, FOT count u32, then the FOT entries in oid order. An
+  // entry with one query is oid i64, state 5 x f64, max speed f64, cell
+  // 2 x i32, query count u32 and the qid i64: 76 bytes.
+  constexpr size_t kNextQidOffset = 16;
+  constexpr size_t kFirstOidOffset = 28;
+  constexpr size_t kSecondOidOffset = kFirstOidOffset + 76;
+  ASSERT_GT(image.size(), kSecondOidOffset + sizeof(int64_t));
+  auto restore_patched = [&](size_t offset, int64_t value) {
+    core::Snapshot patched;
+    patched.checkpoint = image;
+    std::memcpy(patched.checkpoint.data() + offset, &value, sizeof(value));
+    core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
+                               options);
+    return fresh.Restore(patched);
+  };
+  // The untouched image restores; the patch offsets point where claimed.
+  ASSERT_TRUE(restore_patched(kNextQidOffset, 2).ok());
+  ASSERT_TRUE(restore_patched(kFirstOidOffset, 1).ok());
+  ASSERT_TRUE(restore_patched(kSecondOidOffset, 2).ok());
+
+  const int64_t kHuge = int64_t{1} << 40;
+  const int64_t kMax = core::ShardRouter::kMaxDenseId;
+  for (int64_t oid : {int64_t{-1}, kHuge, kMax}) {
+    Status status = restore_patched(kFirstOidOffset, oid);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "oid " << oid;
+  }
+  // The queries have qids 0 and 1: a counter of 1 puts qid 1 at the
+  // counter, and counters outside [0, kMaxDenseId] are rejected outright.
+  for (int64_t next_qid : {int64_t{1}, int64_t{-1}, kHuge}) {
+    Status status = restore_patched(kNextQidOffset, next_qid);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "next_qid " << next_qid;
+  }
+  EXPECT_EQ(restore_patched(kSecondOidOffset, 1).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- Simulation-level recovery ---------------------------------------------

@@ -357,5 +357,64 @@ TEST(ShardRouterTest, MultiShardServerResumesAfterRestore) {
   EXPECT_FALSE(store.checkpoint.empty());
 }
 
+// The router's home tables are dense arrays indexed by id with an explicit
+// entry count: removals and later installs (which take fresh, larger qids)
+// must keep query_count() and the lookups in step with the SQT.
+TEST(ShardRouterTest, QueryCountTracksRemoveAndReinstall) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 6; ++k) {
+    specs.push_back(test::ObjectSpec({10.0 + 15.0 * k, 50.0}));
+  }
+  test::MiniDeployment d(specs, ShardedOptions(4));
+  auto first = d.server().InstallQuery(0, 12.0, 0.5);
+  auto second = d.server().InstallQuery(3, 12.0, 0.5);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(d.server().query_count(), 2u);
+
+  ASSERT_TRUE(d.server().RemoveQuery(*first).ok());
+  EXPECT_EQ(d.server().query_count(), 1u);
+  EXPECT_EQ(d.server().FindQuery(*first), nullptr);
+  EXPECT_EQ(d.server().router().ShardOfQuery(*first), -1);
+  // The focal lost its only query, so it left the FOT too.
+  EXPECT_EQ(d.server().FindFocal(0), nullptr);
+  EXPECT_FALSE(d.server().RemoveQuery(*first).ok());
+  EXPECT_EQ(d.server().query_count(), 1u);
+
+  auto third = d.server().InstallQuery(5, 12.0, 0.5);
+  ASSERT_TRUE(third.ok());
+  EXPECT_GT(*third, *second);
+  EXPECT_EQ(d.server().query_count(), 2u);
+  ASSERT_NE(d.server().FindQuery(*third), nullptr);
+  EXPECT_EQ(d.server().FindQuery(*third)->focal_oid, 5);
+  EXPECT_NE(d.server().FindQuery(*second), nullptr);
+}
+
+// A position report naming an oid the dense focal table cannot index (a
+// negative id, or one at or above kMaxDenseId) is ignored rather than
+// growing the table; lookups of such ids answer "absent".
+TEST(ShardRouterTest, OutOfRangePositionReportIsIgnored) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 4; ++k) {
+    specs.push_back(test::ObjectSpec({20.0 + 15.0 * k, 40.0}));
+  }
+  test::MiniDeployment d(specs, ShardedOptions(2));
+  ASSERT_TRUE(d.server().InstallQuery(1, 12.0, 0.5).ok());
+  const ObjectId kMax = core::ShardRouter::kMaxDenseId;
+  for (ObjectId oid : {ObjectId{-7}, kMax, ObjectId{1} << 40}) {
+    net::PositionVelocityReport report;
+    report.oid = oid;
+    report.state.pos = {30.0, 40.0};
+    report.max_speed = 0.1;
+    d.server().OnUplink(oid, net::MakeMessage(report));
+    EXPECT_EQ(d.server().FindFocal(oid), nullptr) << "oid " << oid;
+    EXPECT_EQ(d.server().router().ShardOfFocal(oid), -1) << "oid " << oid;
+  }
+  EXPECT_NE(d.server().FindFocal(1), nullptr);
+  EXPECT_EQ(d.server().query_count(), 1u);
+  d.TickN(2);
+  EXPECT_TRUE(d.server().QueryResult(0).ok());
+}
+
 }  // namespace
 }  // namespace mobieyes

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "mobieyes/common/random.h"
@@ -155,6 +157,57 @@ TEST(SoaWorldTest, CircleVisitorMatchesAosBruteForceEveryStep) {
       if (circle.Contains(object.pos)) brute.insert(object.oid);
     }
     ASSERT_EQ(via_spans, brute) << "step " << step;
+  }
+}
+
+// ForEachObjectInCircle streams each row span through CollectCircle in
+// chunks of kCoverageChunk lanes. One cell holding more than two chunks of
+// objects, some of them exactly on the circle's boundary, must still yield
+// the brute-force Circle::Contains set in the visitor's documented order:
+// row-major over cells, ascending oid within a cell.
+TEST(SoaWorldTest, ChunkedCircleVisitorMatchesBruteForceInOrder) {
+  Grid grid = MakeGrid();
+  const Circle circle{Point{48.0, 48.0}, 5.0};
+  // Points at distance exactly 5 (3-4-5 triangles: every operation of the
+  // squared-distance test is exact), spread over four cells and both rows.
+  const std::vector<Point> boundary = {{53, 48}, {43, 48}, {48, 53}, {48, 43},
+                                       {51, 52}, {45, 44}, {52, 51}, {44, 45}};
+  // Objects 0..599 sit in cell (4, 4) = [40, 50)^2, except every 75th,
+  // which takes the next boundary point.
+  const int crowded = 600;
+  ASSERT_GT(crowded, 2 * static_cast<int>(World::kCoverageChunk));
+  std::vector<ObjectState> objects = MakeObjects(crowded + 200, 61);
+  Rng rng(67);
+  for (int k = 0; k < crowded; ++k) {
+    Point& pos = objects[k].pos;
+    if (k % 75 == 0) {
+      pos = boundary[(k / 75) % boundary.size()];
+    } else {
+      pos = Point{rng.NextDouble(40, 50), rng.NextDouble(40, 50)};
+    }
+  }
+  auto world = World::Make(grid, objects);
+  ASSERT_TRUE(world.ok());
+
+  std::vector<ObjectId> visited;
+  world->ForEachObjectInCircle(
+      circle, [&](ObjectId oid) { visited.push_back(oid); });
+
+  std::vector<ObjectId> brute;
+  for (const ObjectState& object : objects) {
+    if (circle.Contains(object.pos)) brute.push_back(object.oid);
+  }
+  std::sort(brute.begin(), brute.end(), [&](ObjectId a, ObjectId b) {
+    const CellCoord ca = world->cell(a);
+    const CellCoord cb = world->cell(b);
+    return std::tie(ca.j, ca.i, a) < std::tie(cb.j, cb.i, b);
+  });
+  EXPECT_EQ(visited, brute);
+  // The boundary points are inside (the predicate is <=), including those
+  // beyond the first chunk of the crowded cell.
+  for (int k = 0; k < crowded; k += 75) {
+    EXPECT_NE(std::find(visited.begin(), visited.end(), k), visited.end())
+        << "boundary object " << k;
   }
 }
 
