@@ -11,7 +11,6 @@
 
 #include "mobieyes/common/thread_pool.h"
 #include "mobieyes/core/rebalance.h"
-#include "mobieyes/net/backplane.h"
 
 namespace mobieyes::bench {
 
@@ -68,15 +67,6 @@ struct BenchState {
   int shard_partition = -1;  // 0 = rowband, 1 = hash
   std::string rebalance_spec;  // "off" or STRIDE:THRESHOLD:MAX_MOVES
   bool rebalance_set = false;
-  int shard_transport = -1;  // 0 = inproc, 1 = process
-  std::string shardd_path;
-  long long shard_kill_step = -1;
-  int shard_kill_index = -1;
-  int backplane_timeout_steps = -1;
-  int heartbeat_stride = -1;
-  int shard_authority = -1;  // -1 = flag not given, 1 = on
-  std::string backplane_fault;
-  bool backplane_fault_set = false;
   std::chrono::steady_clock::time_point start;
   std::vector<RecordedTable> tables;
   std::vector<RecordedCell> cells;
@@ -109,22 +99,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-// Authority/chaos RunOptions → SimulationConfig: parses the fault spec
-// (warning and no injected faults on a bad spec) and sets authority mode.
-void ApplyBackplaneOptions(const RunOptions& options,
-                           sim::SimulationConfig* config) {
-  config->shard_authority = options.shard_authority;
-  if (!options.backplane_fault.empty()) {
-    Status st = net::ParseBackplaneFaultSpec(options.backplane_fault,
-                                             &config->backplane_fault);
-    if (!st.ok()) {
-      std::fprintf(stderr, "[bench] bad backplane fault spec '%s': %s\n",
-                   options.backplane_fault.c_str(),
-                   st.ToString().c_str());
-    }
-  }
-}
-
 void AppendDoubles(std::string* out, const std::vector<double>& values) {
   *out += '[';
   for (size_t k = 0; k < values.size(); ++k) {
@@ -151,13 +125,6 @@ sim::RunMetrics RunMode(const sim::SimulationParams& params, sim::SimMode mode,
   config.checkpoint_stride = options.checkpoint_stride;
   config.wal_limit = options.wal_limit;
   config.shard_threads = options.shard_threads;
-  config.shard_transport = options.shard_transport;
-  config.supervisor.shardd_path = options.shardd_path;
-  config.supervisor.timeout_steps = options.backplane_timeout_steps;
-  config.supervisor.heartbeat_stride = options.heartbeat_stride;
-  config.shard_kill_step = options.shard_kill_step;
-  config.shard_kill_index = options.shard_kill_index;
-  ApplyBackplaneOptions(options, &config);
   auto simulation = sim::Simulation::Make(config);
   if (!simulation.ok()) {
     std::fprintf(stderr, "simulation setup failed: %s\n",
@@ -272,56 +239,6 @@ void InitBench(const std::string& name, int argc, char** argv) {
         std::fprintf(stderr, "[bench] bad --rebalance value '%s': %s\n",
                      arg + 12, st.ToString().c_str());
       }
-    } else if (std::strncmp(arg, "--shard-transport=", 18) == 0) {
-      if (std::strcmp(arg + 18, "inproc") == 0) {
-        state.shard_transport = 0;
-      } else if (std::strcmp(arg + 18, "process") == 0) {
-        state.shard_transport = 1;
-      } else {
-        std::fprintf(stderr,
-                     "[bench] bad --shard-transport value '%s' "
-                     "(want inproc|process)\n",
-                     arg + 18);
-      }
-    } else if (std::strncmp(arg, "--shardd=", 9) == 0) {
-      state.shardd_path = arg + 9;
-    } else if (std::strncmp(arg, "--shard-kill=", 13) == 0) {
-      if (std::sscanf(arg + 13, "%lld:%d", &state.shard_kill_step,
-                      &state.shard_kill_index) != 2 ||
-          state.shard_kill_step < 0 || state.shard_kill_index < 0) {
-        std::fprintf(stderr,
-                     "[bench] bad --shard-kill value '%s' (want S:K)\n",
-                     arg + 13);
-        state.shard_kill_step = -1;
-        state.shard_kill_index = -1;
-      }
-    } else if (std::strncmp(arg, "--backplane-timeout-steps=", 26) == 0) {
-      state.backplane_timeout_steps = std::atoi(arg + 26);
-      if (state.backplane_timeout_steps < 1) {
-        std::fprintf(stderr,
-                     "[bench] bad --backplane-timeout-steps value '%s'\n",
-                     arg + 26);
-        state.backplane_timeout_steps = -1;
-      }
-    } else if (std::strncmp(arg, "--heartbeat-stride=", 19) == 0) {
-      state.heartbeat_stride = std::atoi(arg + 19);
-      if (state.heartbeat_stride < 1) {
-        std::fprintf(stderr, "[bench] bad --heartbeat-stride value '%s'\n",
-                     arg + 19);
-        state.heartbeat_stride = -1;
-      }
-    } else if (std::strcmp(arg, "--shard-authority") == 0) {
-      state.shard_authority = 1;
-    } else if (std::strncmp(arg, "--backplane-fault=", 18) == 0) {
-      net::BackplaneFaultPlan probe;
-      Status st = net::ParseBackplaneFaultSpec(arg + 18, &probe);
-      if (st.ok()) {
-        state.backplane_fault = arg + 18;
-        state.backplane_fault_set = true;
-      } else {
-        std::fprintf(stderr, "[bench] bad --backplane-fault value '%s': %s\n",
-                     arg + 18, st.ToString().c_str());
-      }
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       state.fault_seed = std::strtoull(arg + 7, nullptr, 10);
       state.fault_seed_set = true;
@@ -356,13 +273,6 @@ SweepCellResult RunCell(const SweepJob& job, const SweepObsOptions& obs,
   config.checkpoint_stride = job.options.checkpoint_stride;
   config.wal_limit = job.options.wal_limit;
   config.shard_threads = job.options.shard_threads;
-  config.shard_transport = job.options.shard_transport;
-  config.supervisor.shardd_path = job.options.shardd_path;
-  config.supervisor.timeout_steps = job.options.backplane_timeout_steps;
-  config.supervisor.heartbeat_stride = job.options.heartbeat_stride;
-  config.shard_kill_step = job.options.shard_kill_step;
-  config.shard_kill_index = job.options.shard_kill_index;
-  ApplyBackplaneOptions(job.options, &config);
   config.faults = job.faults.plan;
   if (job.faults.harden) {
     config.mobieyes =
@@ -471,31 +381,6 @@ SweepJob ApplyOverrides(SweepJob job) {
     // Validated at parse time; re-applied per job so every cell of the
     // sweep (whatever its own sharding options) gets the override.
     core::ParseRebalanceSpec(state.rebalance_spec, &job.mobieyes.sharding);
-  }
-  if (state.shard_transport >= 0) {
-    job.options.shard_transport =
-        state.shard_transport == 1
-            ? sim::SimulationConfig::ShardTransport::kProcess
-            : sim::SimulationConfig::ShardTransport::kInProcess;
-  }
-  if (!state.shardd_path.empty()) {
-    job.options.shardd_path = state.shardd_path;
-  }
-  if (state.shard_kill_step >= 0) {
-    job.options.shard_kill_step = state.shard_kill_step;
-    job.options.shard_kill_index = state.shard_kill_index;
-  }
-  if (state.backplane_timeout_steps >= 1) {
-    job.options.backplane_timeout_steps = state.backplane_timeout_steps;
-  }
-  if (state.heartbeat_stride >= 1) {
-    job.options.heartbeat_stride = state.heartbeat_stride;
-  }
-  if (state.shard_authority >= 0) {
-    job.options.shard_authority = state.shard_authority == 1;
-  }
-  if (state.backplane_fault_set) {
-    job.options.backplane_fault = state.backplane_fault;
   }
   return job;
 }

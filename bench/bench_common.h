@@ -34,27 +34,6 @@ struct RunOptions {
   // Worker threads for the server's per-shard step phase (shard count
   // itself lives in MobiEyesOptions::sharding).
   int shard_threads = 1;
-  // Shard transport (DESIGN.md §13): kProcess runs one daemon process per
-  // shard behind the socket backplane; kInProcess is the plain path.
-  sim::SimulationConfig::ShardTransport shard_transport =
-      sim::SimulationConfig::ShardTransport::kInProcess;
-  // Daemon binary override for kProcess (empty: auto-discovery next to the
-  // running binary / $MOBIEYES_SHARDD).
-  std::string shardd_path;
-  // SIGKILL fault event for kProcess: kill daemon shard_kill_index at sim
-  // step shard_kill_step (warmup steps count; -1 disables).
-  int64_t shard_kill_step = -1;
-  int shard_kill_index = 0;
-  // Virtual-step RPC deadline and liveness-probe stride of the backplane
-  // (defaults mirror core::SupervisorOptions).
-  int backplane_timeout_steps = 4;
-  int heartbeat_stride = 4;
-  // Authority mode (DESIGN.md §14): daemons answer the RQI scans and the
-  // router merges their digest-verified rows; requires kProcess transport.
-  bool shard_authority = false;
-  // Backplane chaos spec (net::ParseBackplaneFaultSpec grammar), e.g.
-  // "drop=0.05,delay=0.1:2,kill=12:1,seed=7". Empty: no injected faults.
-  std::string backplane_fault;
 };
 
 // Fault-injection knobs of one sweep cell (see SweepJob): the plan handed
@@ -122,7 +101,7 @@ struct SweepJob {
 //   --checkpoint-stride=N    server checkpoint every N steps (0: baseline
 //                      checkpoint only)
 //
-// Server sharding overrides (DESIGN.md §10, §13):
+// Server sharding overrides (DESIGN.md §10):
 //   --shards=N         grid-partitioned server shards (1 = monolith)
 //   --shard-threads=N  worker threads for the per-shard step phase
 //   --shard-partition=rowband|hash  grid-to-shard assignment policy
@@ -130,18 +109,6 @@ struct SweepJob {
 //                      S steps, act when the hottest shard exceeds T times
 //                      the mean load, move at most M cells per rebalance
 //                      ("off", the default, is the byte-identical path)
-//   --shard-transport=inproc|process  run shards in-process (default) or
-//                      as daemon processes behind the socket backplane
-//   --shardd=PATH      shard daemon binary for --shard-transport=process
-//   --shard-kill=S:K   SIGKILL shard K's daemon at sim step S (process
-//                      transport; warmup steps count)
-//   --backplane-timeout-steps=N  virtual-step RPC deadline before a daemon
-//                      is declared dead (process transport)
-//   --heartbeat-stride=N  liveness-probe stride on idle backplane links
-//   --shard-authority  daemons execute the RQI scans; the router merges
-//                      digest-verified rows (process transport)
-//   --backplane-fault=SPEC  seeded backplane chaos plan, e.g.
-//                      drop=0.05,delay=0.1:2,trunc=0.01,kill=12:1,seed=7
 void InitBench(const std::string& name, int argc, char** argv);
 
 // Worker thread count RunSweep will use.

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "mobieyes/core/shard_supervisor.h"
 
 using namespace mobieyes;         // NOLINT(build/namespaces)
 using namespace mobieyes::bench;  // NOLINT(build/namespaces)
@@ -49,12 +48,6 @@ struct CrashCell {
   double drop = 0.0;
   int checkpoint_stride = 0;
   bool crash = true;
-  // kill -9 of a live shard daemon instead of the whole server (process
-  // transport, DESIGN.md §13): the shard degrades until the supervisor
-  // respawns and resyncs it, so the recovery window is the respawn backoff
-  // rather than kRecoverySteps.
-  bool daemon_kill = false;
-  int recovery_steps = kRecoverySteps;
 };
 
 struct CrashResult {
@@ -88,12 +81,6 @@ sim::SimulationConfig MakeConfig(const CrashCell& cell) {
     config.faults.server_crash_step = kCrashStep;
     config.faults.server_recovery_steps = kRecoverySteps;
   }
-  if (cell.daemon_kill) {
-    config.mobieyes.sharding.num_shards = 4;
-    config.shard_transport = sim::SimulationConfig::ShardTransport::kProcess;
-    config.shard_kill_step = kCrashStep;
-    config.shard_kill_index = 1;
-  }
   return config;
 }
 
@@ -117,7 +104,7 @@ CrashResult RunCrashCell(const CrashCell& cell) {
   // kCrashStep - warmup + recovery; that step's agreement already includes a
   // full step of post-restore traffic.
   const int restore_step =
-      static_cast<int>(kCrashStep) - kWarmupSteps + cell.recovery_steps;
+      static_cast<int>(kCrashStep) - kWarmupSteps + kRecoverySteps;
   result.time_to_reconverge = kMeasuredSteps - restore_step;
   for (int step = restore_step; step < kMeasuredSteps; ++step) {
     double agreement = result.agreement[static_cast<size_t>(step)];
@@ -209,51 +196,5 @@ int main(int argc, char** argv) {
                      stride_results);
   PrintRecoveryTable("Crash recovery: message loss (stride 4)", drops,
                      drop_results);
-
-  // Sweep 3: kill -9 of a live shard daemon under the process transport
-  // (DESIGN.md §13). The server stays up; the supervisor detects the dead
-  // daemon, queues its uplinks (degraded mode), respawns it and resyncs
-  // from the checkpoint chunk plus the frame log. Skipped when the daemon
-  // binary is not discoverable (e.g. a stripped install tree).
-  if (core::ShardSupervisor::FindShardd("").empty()) {
-    std::fprintf(stderr,
-                 "[crash_sweep] mobieyes_shardd not found; skipping the "
-                 "daemon kill -9 sweep\n");
-  } else {
-    std::vector<int> kill_strides = {1, 4};
-    std::vector<CrashResult> kill_results;
-    std::vector<double> kill_xs;
-    for (int stride : kill_strides) {
-      CrashCell cell;
-      cell.label = "daemon kill -9 shard=1 stride=" + std::to_string(stride);
-      cell.checkpoint_stride = stride;
-      cell.crash = false;
-      cell.daemon_kill = true;
-      // The respawn backoff is two virtual steps by default; the rejoin
-      // resync lands within the same step, so the recovery window is the
-      // backoff, not kRecoverySteps.
-      cell.recovery_steps = 2;
-      kill_results.push_back(RunCrashCell(cell));
-      kill_xs.push_back(static_cast<double>(stride));
-    }
-    PrintRecoveryTable("Crash recovery: shard daemon kill -9 (stride sweep)",
-                       kill_xs, kill_results);
-    std::vector<Series> kill_extra = {
-        {"daemon restarts", {}}, {"syncs replayed", {}},
-        {"uplinks deferred", {}}, {"uplinks dropped", {}},
-    };
-    for (const CrashResult& r : kill_results) {
-      kill_extra[0].values.push_back(
-          static_cast<double>(r.metrics.shard_restarts));
-      kill_extra[1].values.push_back(
-          static_cast<double>(r.metrics.backplane_replayed_frames));
-      kill_extra[2].values.push_back(
-          static_cast<double>(r.metrics.uplinks_deferred));
-      kill_extra[3].values.push_back(
-          static_cast<double>(r.metrics.uplinks_dropped));
-    }
-    PrintTable("Crash recovery: daemon kill -9 backplane detail", "stride",
-               kill_xs, kill_extra);
-  }
   return FinishBench();
 }

@@ -9,12 +9,10 @@
 // --harden, ...) override every cell, so the CI smoke can re-run single
 // points cheaply.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "mobieyes/core/shard_supervisor.h"
 
 using namespace mobieyes;         // NOLINT(build/namespaces)
 using namespace mobieyes::bench;  // NOLINT(build/namespaces)
@@ -104,56 +102,5 @@ int main(int argc, char** argv) {
   PrintSweep("Fault sweep (drops + delay/dup/disconnect)", mixed_drops,
              {results.begin() + 2 * drops.size(), results.end()});
 
-  // Backplane chaos (DESIGN.md §14): the same hardened workload over the
-  // process transport with authoritative daemons, sweeping the *backplane*
-  // frame-fault rate (drops + delays on the supervisor-daemon links, on top
-  // of a clean wireless network). Failover keeps every uplink flowing, so
-  // the table's dropped-uplink column must stay zero and agreement must
-  // stay at the fault-free hardened level.
-  if (core::ShardSupervisor::FindShardd("").empty()) {
-    std::fprintf(stderr,
-                 "[fault_sweep] mobieyes_shardd not found; skipping the "
-                 "backplane chaos table\n");
-  } else {
-    std::vector<double> chaos_rates = {0.0, 0.05, 0.2};
-    std::vector<SweepJob> chaos_jobs;
-    for (double rate : chaos_rates) {
-      SweepJob job = MakeJob(0.0, /*harden=*/true, /*mixed=*/false);
-      job.options.shard_transport =
-          sim::SimulationConfig::ShardTransport::kProcess;
-      job.options.shard_authority = true;
-      job.mobieyes.sharding.num_shards = 4;
-      if (rate > 0.0) {
-        char spec[64];
-        std::snprintf(spec, sizeof(spec), "drop=%g,delay=%g:2,seed=11",
-                      rate, rate);
-        job.options.backplane_fault = spec;
-      }
-      job.label = "chaos rate=" + std::to_string(rate) + " authority";
-      chaos_jobs.push_back(std::move(job));
-    }
-    // Strictly serial: cells would contend for cores with their own daemon
-    // processes.
-    std::vector<sim::RunMetrics> chaos = RunSweep(chaos_jobs, 1);
-    std::vector<Series> columns = {
-        {"agreement", {}},       {"uplinks dropped", {}},
-        {"failovers", {}},       {"cutovers", {}},
-        {"chaos injections", {}}, {"scans remote", {}},
-    };
-    for (const sim::RunMetrics& m : chaos) {
-      columns[0].values.push_back(m.AverageAgreement());
-      columns[1].values.push_back(static_cast<double>(m.uplinks_dropped));
-      columns[2].values.push_back(
-          static_cast<double>(m.backplane_failovers));
-      columns[3].values.push_back(
-          static_cast<double>(m.backplane_cutovers));
-      columns[4].values.push_back(static_cast<double>(
-          m.backplane_chaos_frames + m.backplane_chaos_kills));
-      columns[5].values.push_back(
-          static_cast<double>(m.backplane_scans_remote));
-    }
-    PrintTable("Fault sweep (backplane chaos, authority mode)",
-               "chaos rate", chaos_rates, columns);
-  }
   return FinishBench();
 }

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "mobieyes/core/shard_supervisor.h"
 
 using namespace mobieyes;         // NOLINT(build/namespaces)
 using namespace mobieyes::bench;  // NOLINT(build/namespaces)
@@ -171,58 +170,6 @@ int main(int argc, char** argv) {
     PrintTable("Shard sweep: server step phase" + suffix, "shards", xs,
                timing);
     PrintTable("Shard sweep: messaging" + suffix, "shards", xs, messaging);
-
-    // True backplane measurement (DESIGN.md §13): rerun the multi-shard
-    // cells of the smaller sweep over the process transport — one daemon
-    // per shard behind the socket backplane — and report the measured RPC
-    // round trip and frame throughput. The result sets must still match
-    // the monolith bit for bit (the transport mirrors, it never decides).
-    if (objects == kObjectCounts[0]) {
-      if (core::ShardSupervisor::FindShardd("").empty()) {
-        std::fprintf(stderr,
-                     "[shard_sweep] mobieyes_shardd not found; skipping the "
-                     "process-transport backplane table\n");
-      } else {
-        std::vector<SweepJob> process_jobs;
-        for (int shards : kShardCounts) {
-          if (shards < 2) continue;
-          SweepJob job = MakeJob(objects, shards);
-          job.options.shard_transport =
-              sim::SimulationConfig::ShardTransport::kProcess;
-          job.label += " transport=process";
-          process_jobs.push_back(std::move(job));
-        }
-        // Strictly serial: parallel cells would contend for cores with
-        // their own daemon processes and poison the RTT measurement.
-        std::vector<SweepCellResult> process_cells =
-            RunSweepObserved(process_jobs, 1, obs);
-        std::vector<double> pxs;
-        std::vector<Series> backplane = {
-            {"rtt us/rpc", {}},      {"frames/step", {}},
-            {"KB/step", {}},         {"restarts", {}},
-            {"results match", {}},
-        };
-        for (size_t k = 0; k < process_cells.size(); ++k) {
-          const sim::RunMetrics& m = process_cells[k].metrics;
-          pxs.push_back(static_cast<double>(
-              process_jobs[k].mobieyes.sharding.num_shards));
-          backplane[0].values.push_back(m.BackplaneRttMicros());
-          backplane[1].values.push_back(m.BackplaneFramesPerStep());
-          backplane[2].values.push_back(m.BackplaneBytesPerStep() / 1024.0);
-          backplane[3].values.push_back(
-              static_cast<double>(m.shard_restarts));
-          bool match = process_cells[k].query_results == mono.query_results;
-          backplane[4].values.push_back(match ? 1.0 : 0.0);
-          if (!match) {
-            all_match = false;
-            std::fprintf(stderr, "[shard_sweep] MISMATCH vs monolith: %s\n",
-                         process_jobs[k].label.c_str());
-          }
-        }
-        PrintTable("Shard sweep: process-transport backplane" + suffix,
-                   "shards", pxs, backplane);
-      }
-    }
   }
 
   // Online rebalancing (DESIGN.md §15): the hotspot distribution pins one

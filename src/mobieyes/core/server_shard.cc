@@ -341,120 +341,6 @@ ServerShard::ImageChunk ServerShard::EncodeSqtChunk() const {
   return chunk;
 }
 
-uint64_t ServerShard::StateDigest() const {
-  // FNV-1a over (flat cell index, row length, row entries) of every owned
-  // non-empty cell, row-major. Insertion order matters — it is part of the
-  // replicated state (broadcast order follows it).
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int k = 0; k < 8; ++k) {
-      h ^= (v >> (8 * k)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (int32_t j = 0; j < grid_->rows(); ++j) {
-    for (int32_t i = 0; i < grid_->columns(); ++i) {
-      geo::CellCoord c{i, j};
-      if (!OwnsCell(c)) continue;
-      const std::vector<QueryId>& row = rqi_.QueriesForCell(c);
-      if (row.empty()) continue;
-      mix(static_cast<uint64_t>(grid_->FlatIndex(c)));
-      mix(row.size());
-      for (QueryId qid : row) mix(static_cast<uint64_t>(qid));
-    }
-  }
-  return h;
-}
-
-void ServerShard::EncodeStateSync(std::vector<uint8_t>* out) const {
-  net::ByteWriter w(out);
-  ImageChunk fot = EncodeFotChunk();
-  w.U32(static_cast<uint32_t>(fot.keys.size()));
-  out->insert(out->end(), fot.bytes.begin(), fot.bytes.end());
-  ImageChunk sqt = EncodeSqtChunk();
-  w.U32(static_cast<uint32_t>(sqt.keys.size()));
-  out->insert(out->end(), sqt.bytes.begin(), sqt.bytes.end());
-
-  uint32_t row_count = 0;
-  std::vector<uint8_t> rows;
-  net::ByteWriter rw(&rows);
-  for (int32_t j = 0; j < grid_->rows(); ++j) {
-    for (int32_t i = 0; i < grid_->columns(); ++i) {
-      geo::CellCoord c{i, j};
-      if (!OwnsCell(c)) continue;
-      const std::vector<QueryId>& row = rqi_.QueriesForCell(c);
-      if (row.empty()) continue;
-      rw.Cell(c);
-      rw.U32(static_cast<uint32_t>(row.size()));
-      for (QueryId qid : row) rw.I64(qid);
-      ++row_count;
-    }
-  }
-  w.U32(row_count);
-  out->insert(out->end(), rows.begin(), rows.end());
-  w.U64(StateDigest());
-}
-
-Status ServerShard::LoadStateSync(const uint8_t* data, size_t size) {
-  net::ByteReader r(data, size);
-  Clear();
-  uint32_t fot_count = r.U32();
-  for (uint32_t k = 0; r.ok() && k < fot_count; ++k) {
-    ObjectId oid = r.I64();
-    FotEntry entry;
-    entry.state = r.State();
-    entry.max_speed = r.F64();
-    entry.cell = r.Cell();
-    uint32_t nq = r.U32();
-    if (nq > r.remaining() / 8) {
-      r.Fail();
-      break;
-    }
-    entry.queries.reserve(nq);
-    for (uint32_t q = 0; q < nq; ++q) entry.queries.push_back(r.I64());
-    if (r.ok()) fot_.emplace(oid, std::move(entry));
-  }
-  uint32_t sqt_count = r.U32();
-  for (uint32_t k = 0; r.ok() && k < sqt_count; ++k) {
-    SqtEntry entry;
-    entry.qid = r.I64();
-    entry.focal_oid = r.I64();
-    entry.region = r.Region();
-    entry.filter_threshold = r.F64();
-    entry.curr_cell = r.Cell();
-    entry.mon_region = r.Range();
-    entry.expires_at = r.F64();
-    entry.lease_renew_at = r.F64();
-    uint32_t n = r.U32();
-    if (n > r.remaining() / 8) {
-      r.Fail();
-      break;
-    }
-    for (uint32_t q = 0; q < n; ++q) entry.result.insert(r.I64());
-    if (r.ok()) sqt_.emplace(entry.qid, std::move(entry));
-  }
-  uint32_t row_count = r.U32();
-  for (uint32_t k = 0; r.ok() && k < row_count; ++k) {
-    geo::CellCoord c = r.Cell();
-    uint32_t n = r.U32();
-    if (n > r.remaining() / 8 || !grid_->IsValid(c)) {
-      r.Fail();
-      break;
-    }
-    for (uint32_t q = 0; q < n; ++q) rqi_.AddCell(r.I64(), c);
-  }
-  uint64_t digest = r.U64();
-  if (!r.ok() || r.remaining() != 0) {
-    Clear();
-    return Status::InvalidArgument("shard sync: malformed image");
-  }
-  if (digest != StateDigest()) {
-    Clear();
-    return Status::InvalidArgument("shard sync: digest mismatch");
-  }
-  return Status::OK();
-}
-
 void ServerShard::Clear() {
   fot_.clear();
   sqt_.clear();

@@ -67,8 +67,8 @@ struct CellMove {
 // options, so every component (router, shards, a restore with a different
 // shard count) derives the same ownership. Rebalancing advances the epoch
 // and installs an explicit per-cell owner table on top of the seed; the
-// epoch number travels with checkpoints, state syncs and scan requests so
-// no component ever answers for a cell under a stale assignment.
+// epoch number travels with checkpoints, so a restore never answers for a
+// cell under a stale assignment.
 class ShardMap {
  public:
   ShardMap(const geo::Grid& grid, const ShardingOptions& options);
@@ -234,23 +234,6 @@ class ServerShard {
 
   ImageChunk EncodeFotChunk() const;
   ImageChunk EncodeSqtChunk() const;
-
-  // --- Process-transport replication (DESIGN.md §13) -----------------------
-
-  // FNV-1a digest of the RQI slice, row-major over owned cells. The RQI is
-  // the delta-replicated table of the process backplane, so agreement on
-  // this digest is what a shard daemon's step acks assert.
-  uint64_t StateDigest() const;
-
-  // Full-state image for a daemon (re)join: the checkpoint chunks (FOT,
-  // SQT — the same per-entry encoding Checkpoint writes) plus the RQI rows
-  // of owned cells and the digest above. Appends to *out.
-  void EncodeStateSync(std::vector<uint8_t>* out) const;
-
-  // Replaces this shard's state with a sync image produced by
-  // EncodeStateSync on a shard with the same id and map. Verifies the
-  // embedded digest.
-  Status LoadStateSync(const uint8_t* data, size_t size);
 
   // Drops all state (checkpoint decode starts from empty shards).
   void Clear();

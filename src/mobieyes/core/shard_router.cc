@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "mobieyes/core/rebalance.h"
-#include "mobieyes/core/shard_transport.h"
 #include "mobieyes/net/codec.h"
 #include "mobieyes/obs/lifecycle.h"
 
@@ -198,24 +197,9 @@ SqtEntry* ShardRouter::MutableQuery(QueryId qid) {
   return home < 0 ? nullptr : shards_[home]->FindQuery(qid);
 }
 
-FotEntry* ShardRouter::MutableFocal(ObjectId oid) {
-  const int home = focal_home_.Find(oid);
-  return home < 0 ? nullptr : shards_[home]->FindFocal(oid);
-}
-
 const std::vector<QueryId>& ShardRouter::QueriesForCell(
     const geo::CellCoord& cell) const {
   return shards_[map_.ShardOf(cell)]->QueriesForCell(cell);
-}
-
-const std::vector<QueryId>& ShardRouter::RqiRow(
-    const geo::CellCoord& cell, std::vector<QueryId>* scratch) {
-  const int owner = map_.ShardOf(cell);
-  if (transport_ != nullptr && !replaying_ &&
-      transport_->AuthorityScan(owner, cell, scratch)) {
-    return *scratch;
-  }
-  return shards_[owner]->QueriesForCell(cell);
 }
 
 int ShardRouter::MigrateIfNeeded(ObjectId oid) {
@@ -246,9 +230,6 @@ int ShardRouter::MigrateIfNeeded(ObjectId oid) {
     if (lifecycle_ != nullptr) {
       lifecycle_->Stamp(obs::LifecycleTracker::kHandoff,
                         static_cast<uint64_t>(oid));
-    }
-    if (transport_ != nullptr) {
-      transport_->OnHandoff(home, target, oid, message);
     }
   }
   auto& handoff = std::get<net::ShardHandoff>(message.payload);
@@ -293,10 +274,6 @@ void ShardRouter::ExecuteRebalance(const std::vector<CellMove>& moves) {
   }
   const uint64_t new_epoch = map_.epoch() + 1;
   if (!map_.ApplyMoves(new_epoch, moves).ok()) return;
-  // Ownership first (mirrors re-home before state migrates), then state.
-  if (transport_ != nullptr) {
-    transport_->OnPartitionUpdate(new_epoch, moves);
-  }
 
   // RQI rows of the moved cells transfer verbatim — order preserved, since
   // row order drives broadcast order. Accounted like handoffs: a real
@@ -311,9 +288,6 @@ void ShardRouter::ExecuteRebalance(const std::vector<CellMove>& moves) {
     backplane_.bytes +=
         net::kHeaderBytes + net::kCellBytes + row.size() * net::kIdBytes;
     rebalance_stats_.rqi_ids_moved += row.size();
-    if (transport_ != nullptr) {
-      transport_->OnRqiRowMove(old_owner[m], to, cells[m], row);
-    }
     shards_[to]->SetRqiRow(cells[m], std::move(row));
   }
 
@@ -335,9 +309,6 @@ void ShardRouter::RqiAddAll(QueryId qid, const geo::CellRange& mon_region) {
   for (int s : map_.ShardsIntersecting(mon_region)) {
     shards_[s]->RqiAdd(qid, mon_region);
     CountOp(s, kOpRqiUpdate);
-    if (transport_ != nullptr && !replaying_) {
-      transport_->OnRqiOp(/*add=*/true, s, qid, mon_region);
-    }
   }
 }
 
@@ -345,26 +316,6 @@ void ShardRouter::RqiRemoveAll(QueryId qid, const geo::CellRange& mon_region) {
   for (int s : map_.ShardsIntersecting(mon_region)) {
     shards_[s]->RqiRemove(qid, mon_region);
     CountOp(s, kOpRqiUpdate);
-    if (transport_ != nullptr && !replaying_) {
-      transport_->OnRqiOp(/*add=*/false, s, qid, mon_region);
-    }
-  }
-}
-
-void ShardRouter::DrainDeferredUplinks() {
-  if (deferred_.empty()) return;
-  std::vector<std::pair<ObjectId, net::Message>> pending;
-  pending.swap(deferred_);
-  for (auto& [from, message] : pending) {
-    size_t parked = deferred_.size();
-    OnUplink(from, message);
-    if (deferred_.size() == parked) {
-      ++transport_stats_.uplinks_drained;
-    } else {
-      // Re-deferred (ingress shard still down): keep the original
-      // deferral's count, not two.
-      --transport_stats_.uplinks_deferred;
-    }
   }
 }
 
@@ -607,21 +558,6 @@ int ShardRouter::IngressShard(const Message& message) const {
 
 void ShardRouter::OnUplink(ObjectId from, const Message& message) {
   TimedSection timed(load_timer_);
-  // Degraded mode (DESIGN.md §13): with a process transport attached and
-  // the ingress shard's daemon down, park the uplink instead of mutating
-  // state the replica cannot follow. Deferral precedes the WAL append, so
-  // a deferred uplink is logged exactly once — when it finally dispatches.
-  if (transport_ != nullptr && !replaying_) {
-    if (!transport_->ShardAvailable(IngressShard(message))) {
-      if (deferred_.size() >= max_deferred_uplinks_) {
-        ++transport_stats_.uplinks_dropped;
-      } else {
-        deferred_.emplace_back(from, message);
-        ++transport_stats_.uplinks_deferred;
-      }
-      return;
-    }
-  }
   // Write-ahead: log the uplink before any handler mutates state, so the
   // durable store always covers everything the in-memory state reflects.
   // Duplicates are logged too — replay routes them through the same dedup.
@@ -819,13 +755,12 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
   if (options_.propagation == PropagationMode::kEager) {
     const int prev_owner = map_.ShardOf(report.prev_cell);
     const std::vector<QueryId>& prev_row =
-        RqiRow(report.prev_cell, &scan_row_a_);
+        shards_[prev_owner]->QueriesForCell(report.prev_cell);
     if (prev_owner != ctx_shard_) {
       CountOp(prev_owner,
               net::kCellBytes + prev_row.size() * net::kIdBytes);
     }
-    const std::vector<QueryId>& new_row =
-        RqiRow(report.new_cell, &scan_row_b_);
+    const std::vector<QueryId>& new_row = QueriesForCell(report.new_cell);
     // RQI scan work: both rows are walked to answer this crossing.
     ChargeHeat(obs::HeatMap::kRqiScan, report.prev_cell, prev_row.size());
     ChargeHeat(obs::HeatMap::kRqiScan, report.new_cell, new_row.size());
@@ -958,7 +893,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   // client re-checks filter and cell on install, so over-sending is safe.
   std::vector<QueryId>& expected = reconcile_expected_;
   expected.clear();
-  const std::vector<QueryId>& cell_row = RqiRow(request.cell, &scan_row_a_);
+  const std::vector<QueryId>& cell_row = QueriesForCell(request.cell);
   ChargeHeat(obs::HeatMap::kRqiScan, request.cell, cell_row.size());
   for (QueryId qid : cell_row) {
     const int home = qid_home_.Find(qid);

@@ -28,8 +28,6 @@ class LifecycleTracker;
 
 namespace mobieyes::core {
 
-class ShardTransport;
-
 // Home shard per dense id (ObjectId or QueryId), indexed by the id, -1
 // where absent. Lookups of any id (negative, past the end) are safe and
 // answer "absent"; Insert's caller bounds the id (ShardRouter::kMaxDenseId)
@@ -147,12 +145,11 @@ class ShardRouter {
   // --- Online rebalancing (DESIGN.md §15) ----------------------------------
   //
   // Called once per simulation step, at the step boundary (after the tick's
-  // uplinks, before the step's checkpoint and transport pump). Every
-  // rebalance_stride steps it plans against the per-cell uplink-load window
-  // accumulated since the last planning point and, when the plan is
-  // non-empty, advances the partition epoch and migrates RQI rows and focal
-  // ownership under the new assignment. No-op unless
-  // options.sharding.rebalance_enabled().
+  // uplinks, before the step's checkpoint). Every rebalance_stride steps it
+  // plans against the per-cell uplink-load window accumulated since the last
+  // planning point and, when the plan is non-empty, advances the partition
+  // epoch and migrates RQI rows and focal ownership under the new
+  // assignment. No-op unless options.sharding.rebalance_enabled().
   void MaybeRebalance(int64_t step);
 
   double load_seconds() const { return load_timer_.total_seconds(); }
@@ -194,29 +191,6 @@ class ShardRouter {
     lifecycle_ = lifecycle;
   }
 
-  // --- Process transport (DESIGN.md §13) -----------------------------------
-  //
-  // When a transport is attached, every shard-state op is mirrored through
-  // it (so out-of-process replicas track the authoritative shards) and
-  // uplinks whose ingress shard's daemon is down are deferred instead of
-  // dispatched — the degraded mode of a partial outage. Null (the default)
-  // keeps the pure in-process behavior, byte for byte.
-
-  struct TransportStats {
-    uint64_t uplinks_deferred = 0;  // queued while the ingress shard was down
-    uint64_t uplinks_dropped = 0;   // refused: deferral queue full
-    uint64_t uplinks_drained = 0;   // re-dispatched after a rejoin
-  };
-
-  void set_transport(ShardTransport* transport) { transport_ = transport; }
-  ShardTransport* transport() const { return transport_; }
-  void set_max_deferred_uplinks(size_t n) { max_deferred_uplinks_ = n; }
-  size_t deferred_uplinks() const { return deferred_.size(); }
-  const TransportStats& transport_stats() const { return transport_stats_; }
-  // Re-dispatches deferred uplinks, oldest first; an uplink whose ingress
-  // shard is still down goes back on the queue.
-  void DrainDeferredUplinks();
-
   // --- Crash recovery (DESIGN.md §9, §10) ----------------------------------
 
   void set_durable_store(Snapshot* store) { store_ = store; }
@@ -240,9 +214,8 @@ class ShardRouter {
   // relative to this ingress is what the backplane accounting charges.
   int IngressShard(const net::Message& message) const;
 
-  // Mutable entry lookups through the home indexes.
+  // Mutable SQT entry lookup through the home index.
   SqtEntry* MutableQuery(QueryId qid);
-  FotEntry* MutableFocal(ObjectId oid);
 
   // Re-homes `oid` (and its bound queries) if its recorded cell moved into
   // another shard's partition, by delivering a ShardHandoff message.
@@ -257,14 +230,6 @@ class ShardRouter {
   // RQI registration fanned out to every shard intersecting the region.
   void RqiAddAll(QueryId qid, const geo::CellRange& mon_region);
   void RqiRemoveAll(QueryId qid, const geo::CellRange& mon_region);
-
-  // The RQI row for `cell`, read from its owning shard. In authority mode
-  // (DESIGN.md §14) the transport executes the read on the shard's daemon
-  // into *scratch; everywhere else — replica mode, WAL replay, same-step
-  // failover — the warm local mirror answers. Both paths return identical
-  // bytes, which is what keeps authority runs deterministic under chaos.
-  const std::vector<QueryId>& RqiRow(const geo::CellCoord& cell,
-                                     std::vector<QueryId>* scratch);
 
   // Charges one backplane message to reach `target_shard` from the current
   // ingress shard (free when local, single-shard, or replaying the WAL).
@@ -343,12 +308,6 @@ class ShardRouter {
   // Scratch for MaybeRebalance's assignment snapshot.
   std::vector<int32_t> owners_scratch_;
 
-  ShardTransport* transport_ = nullptr;
-  size_t max_deferred_uplinks_ = 4096;
-  // Uplinks awaiting a downed ingress shard, in arrival order.
-  std::vector<std::pair<ObjectId, net::Message>> deferred_;
-  TransportStats transport_stats_;
-
   // Per-step scratch, reused so the hot server phases allocate nothing at
   // steady state: the per-shard scan outputs and their merge vector
   // (AdvanceTime / RenewLeases), the RQI row-diff buffers
@@ -361,10 +320,6 @@ class ShardRouter {
   std::vector<QueryId> diff_out_;
   std::vector<QueryId> reconcile_expected_;
   std::vector<QueryId> reconcile_known_;
-  // Authority-scan result rows. Two slots: HandleCellChange holds the
-  // previous cell's row across the new cell's read.
-  std::vector<QueryId> scan_row_a_;
-  std::vector<QueryId> scan_row_b_;
 
   ReentrantTimer load_timer_;
   ReentrantTimer step_timer_;

@@ -28,7 +28,7 @@ std::vector<uint8_t> Snapshot::Serialize() const {
   w.U16(kVersion);
   w.U16(0);  // reserved
   w.U64(static_cast<uint64_t>(checkpoint.size()));
-  out.insert(out.end(), checkpoint.begin(), checkpoint.end());
+  w.Bytes(checkpoint);
   w.U64(static_cast<uint64_t>(wal_limit));
   w.U64(wal_dropped);
   w.U32(static_cast<uint32_t>(wal.size()));
@@ -39,7 +39,7 @@ std::vector<uint8_t> Snapshot::Serialize() const {
     w.I64(record.from);
     w.U32(record.message.seq);
     w.U32(static_cast<uint32_t>(encoded.size()));
-    out.insert(out.end(), encoded.begin(), encoded.end());
+    w.Bytes(encoded);
   }
   return out;
 }

@@ -25,6 +25,9 @@ class ByteWriter {
   void I32(int32_t v) { Raw(&v, 4); }
   void I64(int64_t v) { Raw(&v, 8); }
   void F64(double v) { Raw(&v, 8); }
+  void Bytes(const std::vector<uint8_t>& bytes) {
+    Raw(bytes.data(), bytes.size());
+  }
 
   void Point(const geo::Point& p) {
     F64(p.x);
@@ -80,9 +83,13 @@ class ByteWriter {
   }
 
  private:
+  // resize + memcpy rather than a range insert, which GCC 12 misreads as
+  // an out-of-bounds write (-Wstringop-overflow) once inlined.
   void Raw(const void* data, size_t n) {
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    out_->insert(out_->end(), bytes, bytes + n);
+    if (n == 0) return;
+    const size_t at = out_->size();
+    out_->resize(at + n);
+    std::memcpy(out_->data() + at, data, n);
   }
 
   std::vector<uint8_t>* out_;

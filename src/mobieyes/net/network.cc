@@ -66,7 +66,11 @@ void WirelessNetwork::AttachMetrics(obs::MetricsRegistry* registry) {
 
 std::string NetworkStatsJson(const NetworkStats& stats) {
   auto field = [](const char* name, uint64_t value) {
-    return "\"" + std::string(name) + "\": " + std::to_string(value);
+    std::string out = "\"";
+    out += name;
+    out += "\": ";
+    out += std::to_string(value);
+    return out;
   };
   std::string json = "{";
   json += field("uplink_messages", stats.uplink_messages) + ", ";

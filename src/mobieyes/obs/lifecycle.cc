@@ -16,17 +16,13 @@ const char* LifecycleTracker::KindName(Kind kind) {
       return "crash_restore";
     case kCrashReconverge:
       return "crash_reconverge";
-    case kBackplaneRpc:
-      return "backplane_rpc";
     default:
       return "unknown";
   }
 }
 
 bool LifecycleTracker::KindLayoutDependent(Kind kind) {
-  // Backplane RPC rounds only exist with the process transport and resolve
-  // at socket speed — real-deployment visibility, not simulation state.
-  return kind == kHandoff || kind == kBackplaneRpc;
+  return kind == kHandoff;
 }
 
 LifecycleTracker::LifecycleTracker()

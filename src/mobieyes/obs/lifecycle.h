@@ -38,7 +38,6 @@ class LifecycleTracker {
     kHandoff,              // focal migration start -> ownership adopted
     kCrashRestore,         // server crash -> checkpoint+WAL restore done
     kCrashReconverge,      // server crash -> accuracy back above threshold
-    kBackplaneRpc,         // backplane frame sent -> ack (drop on timeout)
     kNumKinds,
   };
 

@@ -62,30 +62,6 @@ struct RunMetrics {
   // restored state was stale and leases/reconciliation had to close the gap.
   uint64_t wal_records_dropped = 0;
 
-  // Process-transport backplane (DESIGN.md §13). All zero under the
-  // in-process transport. RTT fields are wall-clock measurements and, like
-  // server_seconds, never feed deterministic exports.
-  uint64_t backplane_frames_sent = 0;
-  uint64_t backplane_frames_received = 0;
-  uint64_t backplane_bytes_sent = 0;
-  uint64_t backplane_bytes_received = 0;
-  uint64_t backplane_rpc_timeouts = 0;
-  uint64_t backplane_digest_mismatches = 0;
-  uint64_t backplane_replayed_frames = 0;
-  uint64_t backplane_rtt_micros = 0;
-  uint64_t backplane_rtt_samples = 0;
-  // Authority mode (DESIGN.md §14): scans answered by a daemon vs served
-  // by the warm local mirror, authority handoffs in both directions, and
-  // the blocking-scan round trip.
-  uint64_t backplane_scans_remote = 0;
-  uint64_t backplane_scans_local = 0;
-  uint64_t backplane_failovers = 0;
-  uint64_t backplane_cutovers = 0;
-  uint64_t backplane_scan_rtt_micros = 0;
-  uint64_t backplane_scan_rtt_samples = 0;
-  // Chaos layer: injected frame faults and scheduled SIGKILLs.
-  uint64_t backplane_chaos_frames = 0;
-  uint64_t backplane_chaos_kills = 0;
   // Online rebalancing (DESIGN.md §15). All zero with --rebalance=off.
   // Deterministic at a fixed shard count: counts planner decisions and the
   // migration volume they drove, never wall clock.
@@ -94,12 +70,9 @@ struct RunMetrics {
   uint64_t rebalance_focals_moved = 0;
   uint64_t rebalance_rqi_ids_moved = 0;
   uint64_t rebalance_epoch = 0;  // partition epoch at the end of the run
-  int64_t shard_restarts = 0;
-  // Degraded-mode accounting while a shard daemon was down: uplinks parked
-  // for the dead ingress shard, re-dispatched on rejoin, or lost to the
-  // bounded queue.
-  uint64_t uplinks_deferred = 0;
-  uint64_t uplinks_drained = 0;
+  // Uplinks lost to the server before dispatch. Always 0: the server
+  // dispatches every uplink it receives. Kept for readers of the step
+  // benchmark's delivered share.
   uint64_t uplinks_dropped = 0;
 
   // --- Derived figures ------------------------------------------------------
@@ -147,35 +120,6 @@ struct RunMetrics {
     return error_samples > 0
                ? agreement_sum / static_cast<double>(error_samples)
                : 1.0;
-  }
-
-  // Backplane figures for the shard-sweep table: mean RPC round trip in
-  // microseconds, and frames/bytes shipped per measured step.
-  double BackplaneRttMicros() const {
-    return backplane_rtt_samples > 0
-               ? static_cast<double>(backplane_rtt_micros) /
-                     static_cast<double>(backplane_rtt_samples)
-               : 0.0;
-  }
-
-  // Mean blocking-scan round trip in authority mode, in microseconds.
-  double BackplaneScanRttMicros() const {
-    return backplane_scan_rtt_samples > 0
-               ? static_cast<double>(backplane_scan_rtt_micros) /
-                     static_cast<double>(backplane_scan_rtt_samples)
-               : 0.0;
-  }
-
-  double BackplaneFramesPerStep() const {
-    return steps > 0 ? static_cast<double>(backplane_frames_sent) /
-                           static_cast<double>(steps)
-                     : 0.0;
-  }
-
-  double BackplaneBytesPerStep() const {
-    return steps > 0 ? static_cast<double>(backplane_bytes_sent) /
-                           static_cast<double>(steps)
-                     : 0.0;
   }
 
   // Per object per step, in seconds (Fig. 13).

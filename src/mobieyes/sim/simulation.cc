@@ -146,24 +146,6 @@ Status Simulation::Setup() {
       server_->set_durable_store(&snapshot_store_);
       server_->Checkpoint();
     }
-
-    // Process transport: spawn one daemon per shard and complete the
-    // config+sync handshake before any traffic. Attached after the install
-    // storm above, so the initial sync images already hold every query —
-    // the replicas start exactly where the authoritative shards are.
-    if (config_.shard_transport ==
-            SimulationConfig::ShardTransport::kProcess &&
-        server_->num_shards() > 1) {
-      core::SupervisorOptions opts = config_.supervisor;
-      if (opts.seed == 1) opts.seed = params.seed;
-      opts.authority = config_.shard_authority;
-      opts.fault = config_.backplane_fault;
-      if (opts.fault.seed == 1) opts.fault.seed = params.seed;
-      supervisor_ = std::make_unique<core::ShardSupervisor>(opts);
-      if (lifecycle_) supervisor_->set_lifecycle(lifecycle_.get());
-      supervisor_->AttachRouter(&server_->router());
-      MOBIEYES_RETURN_NOT_OK(supervisor_->Start());
-    }
   } else {
     std::vector<double> attrs;
     std::vector<geo::Point> positions;
@@ -493,25 +475,6 @@ void Simulation::RecordStepObservations(int64_t step) {
     }
   }
 
-  // Process-transport backplane gauges: per-peer send-queue depth plus the
-  // degraded-shard count. Timing-flagged like the per-shard gauges — socket
-  // buffering depends on the host, never on the workload seed.
-  if (registry_ != nullptr && supervisor_ != nullptr) {
-    for (int s = 0; s < supervisor_->num_peers(); ++s) {
-      char tag[32];
-      std::snprintf(tag, sizeof(tag), "backplane.%02d.", s);
-      registry_->GetGauge(std::string(tag) + "queue_depth", /*timing=*/true)
-          ->Set(static_cast<double>(supervisor_->queue_bytes(s)));
-    }
-    registry_->GetGauge("backplane.down_shards", /*timing=*/true)
-        ->Set(static_cast<double>(supervisor_->down_shards()));
-    const core::SupervisorStats& sstats = supervisor_->stats();
-    registry_->GetGauge("backplane.failovers", /*timing=*/true)
-        ->Set(static_cast<double>(sstats.failovers));
-    registry_->GetGauge("backplane.chaos_injections", /*timing=*/true)
-        ->Set(static_cast<double>(sstats.chaos_frames + sstats.chaos_kills));
-  }
-
   cursor_.uplink = stats.uplink_messages;
   cursor_.downlink = stats.downlink_messages;
   cursor_.broadcast = stats.broadcast_messages;
@@ -547,19 +510,6 @@ void Simulation::StepOnce() {
   switch (config_.mode) {
     case SimMode::kMobiEyesEager:
     case SimMode::kMobiEyesLazy:
-      if (supervisor_) {
-        // Daemon fault event fires at the start of the step, like a server
-        // crash: the shard degrades before any of this step's traffic.
-        if (step == config_.shard_kill_step) {
-          supervisor_->KillShard(config_.shard_kill_index);
-        }
-        // Degraded-mode drain: uplinks parked while a shard daemon was down
-        // re-dispatch as soon as every shard is available again, ahead of
-        // this step's fresh traffic.
-        if (server_ && supervisor_->AllAvailable()) {
-          server_->router().DrainDeferredUplinks();
-        }
-      }
       if (server_) server_->AdvanceTime(world_->now());
       // Cold client restarts happen between protocol turns: the device
       // reboots, loses its volatile state, and immediately reconciles.
@@ -575,28 +525,14 @@ void Simulation::StepOnce() {
       }
       for (auto& client : clients_) client->OnTick();
       // Rebalance turn (DESIGN.md §15): with the step's uplinks dispatched
-      // and before the checkpoint or the backplane pump, so migration ops
-      // ride this step's coalesced batches and a checkpoint taken below
-      // already carries the advanced epoch.
+      // and before the checkpoint, so a checkpoint taken below already
+      // carries the advanced epoch.
       if (server_) server_->router().MaybeRebalance(step);
       // Periodic checkpoint with the step's state settled.
       if (server_ && config_.checkpoint_stride > 0 &&
           (step + 1) % config_.checkpoint_stride == 0) {
         server_->Checkpoint();
         ++metrics_.checkpoints_taken;
-      }
-      // Backplane turn: flush this step's coalesced batches, read acks,
-      // enforce deadlines, respawn dead daemons. Skipped while the server
-      // itself is crashed (no authoritative state to mirror); the restore
-      // path resyncs every replica. Right after the pump no ops are
-      // pending, which is the invariant CaptureSyncAll needs — a sync
-      // image plus replayed later batches must not double-apply.
-      if (supervisor_ && server_) {
-        supervisor_->PumpStep(step);
-        if (config_.checkpoint_stride > 0 &&
-            (step + 1) % config_.checkpoint_stride == 0) {
-          supervisor_->CaptureSyncAll();
-        }
       }
       break;
     case SimMode::kObjectIndex:
@@ -667,13 +603,6 @@ void Simulation::RestoreServer() {
   if (lifecycle_) {
     lifecycle_->ResolveIfPending(obs::LifecycleTracker::kCrashRestore, 0);
   }
-  if (supervisor_) {
-    // The daemons outlived the server process; point the supervisor at the
-    // rebuilt router and force a full resync of every replica against the
-    // restored state.
-    supervisor_->AttachRouter(&server_->router());
-    supervisor_->OnServerRestored();
-  }
 }
 
 RunMetrics Simulation::metrics() const {
@@ -699,11 +628,6 @@ RunMetrics Simulation::metrics() const {
     snapshot.network.inter_shard_messages = backplane.messages;
     snapshot.network.inter_shard_bytes = backplane.bytes;
     snapshot.network.inter_shard_handoffs = backplane.handoffs;
-    const core::ShardRouter::TransportStats& transport =
-        server_->router().transport_stats();
-    snapshot.uplinks_deferred = transport.uplinks_deferred;
-    snapshot.uplinks_drained = transport.uplinks_drained;
-    snapshot.uplinks_dropped = transport.uplinks_dropped;
     const core::ShardRouter::RebalanceStats& rb =
         server_->router().rebalance_stats();
     snapshot.rebalance_events = rb.events;
@@ -711,27 +635,6 @@ RunMetrics Simulation::metrics() const {
     snapshot.rebalance_focals_moved = rb.focals_moved;
     snapshot.rebalance_rqi_ids_moved = rb.rqi_ids_moved;
     snapshot.rebalance_epoch = server_->router().shard_map().epoch();
-  }
-  if (supervisor_) {
-    const core::SupervisorStats& bp = supervisor_->stats();
-    snapshot.backplane_frames_sent = bp.frames_sent;
-    snapshot.backplane_frames_received = bp.frames_received;
-    snapshot.backplane_bytes_sent = bp.bytes_sent;
-    snapshot.backplane_bytes_received = bp.bytes_received;
-    snapshot.backplane_rpc_timeouts = bp.rpc_timeouts;
-    snapshot.backplane_digest_mismatches = bp.digest_mismatches;
-    snapshot.backplane_replayed_frames = bp.replayed_frames;
-    snapshot.backplane_rtt_micros = bp.rtt_micros_total;
-    snapshot.backplane_rtt_samples = bp.rtt_samples;
-    snapshot.backplane_scans_remote = bp.scans_remote;
-    snapshot.backplane_scans_local = bp.scans_local;
-    snapshot.backplane_failovers = bp.failovers;
-    snapshot.backplane_cutovers = bp.cutovers;
-    snapshot.backplane_scan_rtt_micros = bp.scan_rtt_micros_total;
-    snapshot.backplane_scan_rtt_samples = bp.scan_rtt_samples;
-    snapshot.backplane_chaos_frames = bp.chaos_frames;
-    snapshot.backplane_chaos_kills = bp.chaos_kills;
-    snapshot.shard_restarts = static_cast<int64_t>(bp.restarts);
   }
   if (object_index_) snapshot.server_seconds = object_index_->load_seconds();
   if (query_index_) snapshot.server_seconds = query_index_->load_seconds();

@@ -13,7 +13,6 @@
 #include "mobieyes/core/client.h"
 #include "mobieyes/core/options.h"
 #include "mobieyes/core/server.h"
-#include "mobieyes/core/shard_supervisor.h"
 #include "mobieyes/geo/grid.h"
 #include "mobieyes/mobility/world.h"
 #include "mobieyes/net/base_station.h"
@@ -112,32 +111,6 @@ struct SimulationConfig {
   // mobieyes.sharding.num_shards > 1; 1 (the default) steps shards inline.
   // Orthogonal to the sweep harness's cell-level --threads parallelism.
   int shard_threads = 1;
-  // Shard transport (MobiEyes modes with num_shards > 1). kInProcess (the
-  // default) keeps shards as in-memory state containers — the existing
-  // byte-identical path. kProcess additionally runs one daemon process per
-  // shard (core::ShardSupervisor over a framed socket backplane, DESIGN.md
-  // §13); the router stays authoritative, so fault-free deterministic
-  // exports are byte-identical to the in-process transport.
-  enum class ShardTransport { kInProcess, kProcess };
-  ShardTransport shard_transport = ShardTransport::kInProcess;
-  // Process-transport tuning (address, heartbeat stride, RPC deadline,
-  // respawn backoff, daemon binary path); kProcess only.
-  core::SupervisorOptions supervisor;
-  // Authority mode (kProcess only, DESIGN.md §14): daemons execute the RQI
-  // scans and the router merges their digest-verified results; the local
-  // shards become the warm failover mirror. Both paths serve identical
-  // bytes, so deterministic exports stay byte-identical to in-process —
-  // even across failovers. Sets supervisor.authority.
-  bool shard_authority = false;
-  // Seeded backplane chaos (kProcess only): frame drops/delays/truncations
-  // /bit-flips plus scheduled SIGKILLs. Sets supervisor.fault.
-  net::BackplaneFaultPlan backplane_fault;
-  // Fault event (kProcess only): SIGKILL the shard_kill_index daemon at sim
-  // step shard_kill_step (counted like faults.server_crash_step: warmup
-  // steps included; -1 disables). The shard runs degraded until the
-  // supervisor respawns and resyncs it.
-  int64_t shard_kill_step = -1;
-  int shard_kill_index = 0;
 };
 
 // One end-to-end simulation: a seeded workload, the mobility world, the
@@ -172,9 +145,6 @@ class Simulation {
   const ExactOracle& oracle() const { return *oracle_; }
   // Null unless running a MobiEyes mode.
   core::MobiEyesServer* server() { return server_.get(); }
-  // Null unless config.shard_transport == kProcess with a multi-shard
-  // server.
-  core::ShardSupervisor* supervisor() { return supervisor_.get(); }
   core::MobiEyesClient* client(ObjectId oid) {
     return clients_.empty() ? nullptr
                             : clients_[static_cast<size_t>(oid)].get();
@@ -254,11 +224,7 @@ class Simulation {
   // MobiEyes deployment (modes kMobiEyesEager / kMobiEyesLazy). The shard
   // pool (null unless config.shard_threads > 1 with a multi-shard server) is
   // declared before server_ so the server never outlives its worker pool.
-  // Likewise the supervisor (null unless shard_transport == kProcess with a
-  // multi-shard server): its daemons outlive any one server incarnation —
-  // a crash/restore re-attaches the new router and forces a full resync.
   std::unique_ptr<ThreadPool> shard_pool_;
-  std::unique_ptr<core::ShardSupervisor> supervisor_;
   std::unique_ptr<core::MobiEyesServer> server_;
   std::vector<std::unique_ptr<core::MobiEyesClient>> clients_;
   // Resolved MobiEyes options (propagation/threshold applied), kept so a

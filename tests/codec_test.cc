@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <initializer_list>
 #include <set>
 
 #include "mobieyes/common/random.h"
 #include "mobieyes/net/codec.h"
-#include "mobieyes/net/framing.h"
 
 namespace mobieyes::net {
 namespace {
@@ -434,212 +432,6 @@ TEST(CodecTest, EveryMessageTypeRejectsTruncationAndSurvivesMutation) {
     }
   }
   EXPECT_EQ(seen.size(), kNumMessageTypes);
-}
-
-// ---------------------------------------------------------------------------
-// Backplane frame decoding (DESIGN.md §13): hostile byte streams against the
-// incremental FrameDecoder. Every case is a raw stream plus the frames and
-// stats it must produce, and every stream is decoded twice more — fed one
-// byte at a time and in 3-byte chunks — to prove the split points of a TCP
-// read never change the result.
-
-std::vector<uint8_t> EncodeTestFrame(FrameKind kind, uint8_t shard,
-                                     int64_t step,
-                                     const std::vector<uint8_t>& payload) {
-  Frame frame;
-  frame.kind = kind;
-  frame.shard = shard;
-  frame.step = step;
-  frame.payload = payload;
-  std::vector<uint8_t> out;
-  EncodeFrame(frame, &out);
-  return out;
-}
-
-// A 24-byte v2 header claiming `payload_len` bytes of payload (none
-// appended), with arbitrary version/kind/checksum bytes — for bad-version,
-// oversized-length, bad-kind and checksum-mismatch cases.
-std::vector<uint8_t> RawHeader(uint8_t kind, uint32_t payload_len,
-                               uint8_t version = kFrameVersion,
-                               uint32_t payload_crc = 0) {
-  std::vector<uint8_t> out;
-  for (int k = 0; k < 4; ++k) {
-    out.push_back(static_cast<uint8_t>(kFrameMagic >> (8 * k)));
-  }
-  out.push_back(version);
-  out.push_back(kind);
-  out.push_back(0);  // shard
-  out.push_back(0);  // flags
-  for (int k = 0; k < 8; ++k) out.push_back(0);  // step
-  for (int k = 0; k < 4; ++k) {
-    out.push_back(static_cast<uint8_t>(payload_len >> (8 * k)));
-  }
-  for (int k = 0; k < 4; ++k) {
-    out.push_back(static_cast<uint8_t>(payload_crc >> (8 * k)));
-  }
-  return out;
-}
-
-std::vector<uint8_t> Concat(std::initializer_list<std::vector<uint8_t>> parts) {
-  std::vector<uint8_t> out;
-  for (const auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-struct HostileStreamCase {
-  const char* name;
-  std::vector<uint8_t> stream;
-  size_t expect_frames;
-  uint64_t expect_resync_min;  // at least this much garbage skipped
-  uint64_t expect_oversized;
-  uint64_t expect_bad_kind;
-  size_t expect_pending;  // bytes still buffered after the full stream
-  uint64_t expect_bad_version = 0;
-  uint64_t expect_checksum_min = 0;  // at least this many payload-crc hits
-};
-
-std::vector<Frame> FeedAll(const std::vector<uint8_t>& stream,
-                           size_t chunk, FrameDecoder* decoder) {
-  std::vector<Frame> frames;
-  for (size_t pos = 0; pos < stream.size(); pos += chunk) {
-    size_t n = std::min(chunk, stream.size() - pos);
-    decoder->Feed(stream.data() + pos, n, &frames);
-  }
-  return frames;
-}
-
-TEST(FramingTest, HostileByteStreams) {
-  const std::vector<uint8_t> good =
-      EncodeTestFrame(FrameKind::kStepBatch, 2, 41, {1, 2, 3, 4, 5});
-  const std::vector<uint8_t> good2 =
-      EncodeTestFrame(FrameKind::kHeartbeatAck, 3, 42, {});
-  const std::vector<uint8_t> garbage = {0x00, 0xff, 0x4d, 0x6f,
-                                        0x42, 0x00, 0x7f};
-  // Truncated copy of `good`: header + 2 of 5 payload bytes.
-  const std::vector<uint8_t> truncated(
-      good.begin(), good.begin() + kFrameHeaderBytes + 2);
-  // Copies of `good` with a corrupted payload byte / corrupted stored
-  // checksum: the header parses, the payload arrives, and the FNV-1a check
-  // must reject the frame (one byte consumed, resync hunts on).
-  std::vector<uint8_t> bad_payload = good;
-  bad_payload[kFrameHeaderBytes + 2] ^= 0x40;
-  std::vector<uint8_t> bad_crc = good;
-  bad_crc[kFrameHeaderBytes - 1] ^= 0x01;
-
-  std::vector<HostileStreamCase> cases = {
-      {"single frame", good, 1, 0, 0, 0, 0},
-      {"two frames back to back", Concat({good, good2}), 2, 0, 0, 0, 0},
-      {"garbage prefix resync", Concat({garbage, good}), 1, garbage.size(),
-       0, 0, 0},
-      {"garbage between frames", Concat({good, garbage, good2}), 2,
-       garbage.size(), 0, 0, 0},
-      {"oversized length prefix then frame",
-       Concat({RawHeader(4, kMaxFramePayload + 1), good}), 1, 1, 1, 0, 0},
-      {"bad kind then frame",
-       Concat({RawHeader(200, 4), good}), 1, 1, 0, 1, 0},
-      {"bad kind zero-length",
-       Concat({RawHeader(static_cast<uint8_t>(FrameKind::kNumFrameKinds), 0),
-               good2}),
-       1, 1, 0, 1, 0},
-      {"stale version v1 then frame",
-       Concat({RawHeader(4, 4, /*version=*/1), good}), 1, 1, 0, 0, 0,
-       /*bad_version=*/1},
-      {"future version then frame",
-       Concat({RawHeader(4, 4, /*version=*/0x7f), good}), 1, 1, 0, 0, 0,
-       /*bad_version=*/1},
-      {"corrupted payload byte then frame",
-       Concat({bad_payload, good2}), 1, 1, 0, 0, 0, 0,
-       /*checksum_min=*/1},
-      {"corrupted stored checksum then frame",
-       Concat({bad_crc, good2}), 1, 1, 0, 0, 0, 0, /*checksum_min=*/1},
-      {"zero-length frame with bad checksum",
-       Concat({RawHeader(4, 0, kFrameVersion, /*payload_crc=*/0), good}), 1,
-       1, 0, 0, 0, 0, /*checksum_min=*/1},
-      {"truncated frame stays pending", truncated, 0, 0, 0, 0,
-       truncated.size()},
-      {"frame then truncated tail", Concat({good, truncated}), 1, 0, 0, 0,
-       truncated.size()},
-      // Exactly one header's worth so the skip fires at the same point for
-      // every chunking (the decoder hunts only once a full header could
-      // be buffered).
-      {"pure garbage no magic", std::vector<uint8_t>(kFrameHeaderBytes, 0xaa),
-       0, kFrameHeaderBytes, 0, 0, 0},
-      {"lone magic waits for header",
-       {0x46, 0x42, 0x6f, 0x4d}, 0, 0, 0, 0, 4},
-  };
-
-  for (const HostileStreamCase& c : cases) {
-    SCOPED_TRACE(c.name);
-    for (size_t chunk : {c.stream.size(), size_t{1}, size_t{3}}) {
-      if (chunk == 0) continue;
-      SCOPED_TRACE("chunk=" + std::to_string(chunk));
-      FrameDecoder decoder;
-      std::vector<Frame> frames = FeedAll(c.stream, chunk, &decoder);
-      EXPECT_EQ(frames.size(), c.expect_frames);
-      EXPECT_GE(decoder.stats().resync_bytes, c.expect_resync_min);
-      EXPECT_EQ(decoder.stats().oversized, c.expect_oversized);
-      EXPECT_EQ(decoder.stats().bad_kind, c.expect_bad_kind);
-      EXPECT_EQ(decoder.stats().bad_version, c.expect_bad_version);
-      EXPECT_GE(decoder.stats().checksum_mismatch, c.expect_checksum_min);
-      EXPECT_EQ(decoder.pending_bytes(), c.expect_pending);
-      EXPECT_EQ(decoder.stats().frames, c.expect_frames);
-    }
-  }
-}
-
-TEST(FramingTest, DecodedFramesSurviveSplitsIntact) {
-  // The payload carries every byte value so a resync bug that eats payload
-  // bytes (e.g. a payload containing the magic) cannot hide.
-  std::vector<uint8_t> payload;
-  for (int k = 0; k < 256; ++k) payload.push_back(static_cast<uint8_t>(k));
-  for (int k = 0; k < 4; ++k) {
-    payload.push_back(static_cast<uint8_t>(kFrameMagic >> (8 * k)));
-  }
-  const std::vector<uint8_t> wire =
-      EncodeTestFrame(FrameKind::kStateSync, 7, 123456789, payload);
-  for (size_t chunk = 1; chunk <= wire.size(); ++chunk) {
-    FrameDecoder decoder;
-    std::vector<Frame> frames = FeedAll(wire, chunk, &decoder);
-    ASSERT_EQ(frames.size(), 1u) << "chunk=" << chunk;
-    EXPECT_EQ(frames[0].kind, FrameKind::kStateSync);
-    EXPECT_EQ(frames[0].shard, 7);
-    EXPECT_EQ(frames[0].step, 123456789);
-    EXPECT_EQ(frames[0].payload, payload);
-    EXPECT_EQ(decoder.pending_bytes(), 0u);
-  }
-}
-
-TEST(FramingTest, RandomCorruptionNeverCrashesOrHangs) {
-  Rng rng(907);
-  std::vector<uint8_t> stream;
-  for (int frame = 0; frame < 8; ++frame) {
-    std::vector<uint8_t> payload(rng.NextUint64(64));
-    for (auto& b : payload) b = static_cast<uint8_t>(rng.NextUint64(256));
-    auto wire = EncodeTestFrame(
-        static_cast<FrameKind>(rng.NextUint64(
-            static_cast<uint64_t>(FrameKind::kNumFrameKinds))),
-        static_cast<uint8_t>(frame), frame, payload);
-    stream.insert(stream.end(), wire.begin(), wire.end());
-  }
-  for (int trial = 0; trial < 300; ++trial) {
-    std::vector<uint8_t> mutated = stream;
-    for (int flips = 0; flips < 4; ++flips) {
-      size_t pos = rng.NextUint64(mutated.size());
-      mutated[pos] ^= static_cast<uint8_t>(1 + rng.NextUint64(255));
-    }
-    FrameDecoder decoder;
-    std::vector<Frame> frames;
-    decoder.Feed(mutated.data(), mutated.size(), &frames);
-    // Whatever survived, the decoder must account for every input byte.
-    EXPECT_LE(decoder.pending_bytes(), mutated.size());
-    for (const Frame& f : frames) {
-      EXPECT_LT(static_cast<int>(f.kind),
-                static_cast<int>(FrameKind::kNumFrameKinds));
-      EXPECT_LE(f.payload.size(), kMaxFramePayload);
-    }
-  }
 }
 
 }  // namespace

@@ -48,7 +48,6 @@
 #include <string>
 
 #include "mobieyes/core/rebalance.h"
-#include "mobieyes/net/backplane.h"
 #include "mobieyes/net/energy.h"
 #include "mobieyes/obs/report_html.h"
 #include "mobieyes/obs/trace_recorder.h"
@@ -105,13 +104,7 @@ void PrintUsage(const char* argv0) {
                "          [--checkpoint-stride=N]\n"
                "          [--shards=N] [--shard-threads=N]\n"
                "          [--shard-partition=rowband|hash]\n"
-               "          [--rebalance=off|STRIDE:THRESHOLD:MAX_MOVES]\n"
-               "          [--shard-transport=inproc|process] [--shardd=PATH]\n"
-               "          [--backplane-timeout-steps=N]\n"
-               "          [--heartbeat-stride=N] [--shard-kill=S:K]\n"
-               "          [--shard-authority] "
-               "[--backplane-fault=drop=F,delay=F:N,trunc=F,flip=F,"
-               "kill=S:K,seed=N]\n",
+               "          [--rebalance=off|STRIDE:THRESHOLD:MAX_MOVES]\n",
                argv0);
 }
 
@@ -291,58 +284,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
                      st.ToString().c_str());
         return false;
       }
-    } else if (key == "shard-transport") {
-      if (value == "inproc") {
-        cli->config.shard_transport =
-            sim::SimulationConfig::ShardTransport::kInProcess;
-      } else if (value == "process") {
-        cli->config.shard_transport =
-            sim::SimulationConfig::ShardTransport::kProcess;
-      } else {
-        std::fprintf(
-            stderr,
-            "bad --shard-transport value '%s' (want inproc|process)\n",
-            value.c_str());
-        return false;
-      }
-    } else if (key == "shardd") {
-      cli->config.supervisor.shardd_path = value;
-    } else if (key == "backplane-timeout-steps") {
-      cli->config.supervisor.timeout_steps = std::atoi(value.c_str());
-      if (cli->config.supervisor.timeout_steps < 1) {
-        std::fprintf(stderr, "bad --backplane-timeout-steps value '%s'\n",
-                     value.c_str());
-        return false;
-      }
-    } else if (key == "heartbeat-stride") {
-      cli->config.supervisor.heartbeat_stride = std::atoi(value.c_str());
-      if (cli->config.supervisor.heartbeat_stride < 1) {
-        std::fprintf(stderr, "bad --heartbeat-stride value '%s'\n",
-                     value.c_str());
-        return false;
-      }
-    } else if (key == "shard-authority") {
-      cli->config.shard_authority = true;
-    } else if (key == "backplane-fault") {
-      Status st = net::ParseBackplaneFaultSpec(value,
-                                               &cli->config.backplane_fault);
-      if (!st.ok()) {
-        std::fprintf(stderr, "bad --backplane-fault value '%s': %s\n",
-                     value.c_str(), st.ToString().c_str());
-        return false;
-      }
-    } else if (key == "shard-kill") {
-      long long kill_step = -1;
-      int kill_shard = -1;
-      if (std::sscanf(value.c_str(), "%lld:%d", &kill_step, &kill_shard) !=
-              2 ||
-          kill_step < 0 || kill_shard < 0) {
-        std::fprintf(stderr, "bad --shard-kill value '%s' (want STEP:SHARD)\n",
-                     value.c_str());
-        return false;
-      }
-      cli->config.shard_kill_step = kill_step;
-      cli->config.shard_kill_index = kill_shard;
     } else if (key == "harden") {
       cli->harden = true;
     } else if (key == "help") {
@@ -529,61 +470,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(
                         metrics.rebalance_rqi_ids_moved));
       }
-    }
-  }
-  if (core::ShardSupervisor* supervisor = (*simulation)->supervisor()) {
-    const core::SupervisorStats& bp = supervisor->stats();
-    std::printf("\n-- shard backplane (process transport) -----------------\n");
-    std::printf("daemons                    %d (%lld down now)\n",
-                supervisor->num_peers(),
-                static_cast<long long>(supervisor->down_shards()));
-    std::printf("frames sent / received     %llu / %llu\n",
-                static_cast<unsigned long long>(bp.frames_sent),
-                static_cast<unsigned long long>(bp.frames_received));
-    std::printf("bytes sent / received      %llu / %llu\n",
-                static_cast<unsigned long long>(bp.bytes_sent),
-                static_cast<unsigned long long>(bp.bytes_received));
-    std::printf("batches / heartbeats       %llu / %llu\n",
-                static_cast<unsigned long long>(bp.batches_sent),
-                static_cast<unsigned long long>(bp.heartbeats_sent));
-    std::printf("syncs / replayed frames    %llu / %llu\n",
-                static_cast<unsigned long long>(bp.syncs_sent),
-                static_cast<unsigned long long>(bp.replayed_frames));
-    std::printf("mean RPC round trip        %.1f us over %llu acks\n",
-                metrics.BackplaneRttMicros(),
-                static_cast<unsigned long long>(bp.rtt_samples));
-    std::printf("timeouts / digest misses   %llu / %llu\n",
-                static_cast<unsigned long long>(bp.rpc_timeouts),
-                static_cast<unsigned long long>(bp.digest_mismatches));
-    std::printf("daemon restarts            %llu\n",
-                static_cast<unsigned long long>(bp.restarts));
-    std::printf("uplinks deferred/drained   %llu / %llu (%llu dropped)\n",
-                static_cast<unsigned long long>(metrics.uplinks_deferred),
-                static_cast<unsigned long long>(metrics.uplinks_drained),
-                static_cast<unsigned long long>(metrics.uplinks_dropped));
-    if (metrics.backplane_scans_remote + metrics.backplane_scans_local > 0 ||
-        metrics.backplane_failovers > 0 || metrics.backplane_cutovers > 0) {
-      std::printf("authority scans            %llu remote / %llu local\n",
-                  static_cast<unsigned long long>(
-                      metrics.backplane_scans_remote),
-                  static_cast<unsigned long long>(
-                      metrics.backplane_scans_local));
-      std::printf("failovers / cutovers       %llu / %llu\n",
-                  static_cast<unsigned long long>(
-                      metrics.backplane_failovers),
-                  static_cast<unsigned long long>(
-                      metrics.backplane_cutovers));
-      std::printf("mean scan round trip       %.1f us over %llu scans\n",
-                  metrics.BackplaneScanRttMicros(),
-                  static_cast<unsigned long long>(
-                      metrics.backplane_scan_rtt_samples));
-    }
-    if (metrics.backplane_chaos_frames + metrics.backplane_chaos_kills > 0) {
-      std::printf("chaos injections           %llu frames, %llu kills\n",
-                  static_cast<unsigned long long>(
-                      metrics.backplane_chaos_frames),
-                  static_cast<unsigned long long>(
-                      metrics.backplane_chaos_kills));
     }
   }
   if (metrics.server_crashes > 0 || metrics.client_restarts > 0 ||
