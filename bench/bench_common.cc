@@ -64,7 +64,6 @@ struct BenchState {
   // Sharding flag overrides, same negative-means-unset convention.
   int shards = -1;
   int shard_threads = -1;
-  int shard_partition = -1;  // 0 = rowband, 1 = hash
   std::string rebalance_spec;  // "off" or STRIDE:THRESHOLD:MAX_MOVES
   bool rebalance_set = false;
   std::chrono::steady_clock::time_point start;
@@ -218,17 +217,6 @@ void InitBench(const std::string& name, int argc, char** argv) {
                      arg + 16);
         state.shard_threads = -1;
       }
-    } else if (std::strncmp(arg, "--shard-partition=", 18) == 0) {
-      if (std::strcmp(arg + 18, "rowband") == 0) {
-        state.shard_partition = 0;
-      } else if (std::strcmp(arg + 18, "hash") == 0) {
-        state.shard_partition = 1;
-      } else {
-        std::fprintf(stderr,
-                     "[bench] bad --shard-partition value '%s' "
-                     "(want rowband|hash)\n",
-                     arg + 18);
-      }
     } else if (std::strncmp(arg, "--rebalance=", 12) == 0) {
       core::ShardingOptions probe;
       Status st = core::ParseRebalanceSpec(arg + 12, &probe);
@@ -371,11 +359,6 @@ SweepJob ApplyOverrides(SweepJob job) {
   if (state.shards > 0) job.mobieyes.sharding.num_shards = state.shards;
   if (state.shard_threads > 0) {
     job.options.shard_threads = state.shard_threads;
-  }
-  if (state.shard_partition >= 0) {
-    job.mobieyes.sharding.partition = state.shard_partition == 0
-                                          ? core::ShardPartition::kRowBand
-                                          : core::ShardPartition::kHash;
   }
   if (state.rebalance_set) {
     // Validated at parse time; re-applied per job so every cell of the

@@ -104,7 +104,6 @@ struct SweepJob {
 // Server sharding overrides (DESIGN.md §10):
 //   --shards=N         grid-partitioned server shards (1 = monolith)
 //   --shard-threads=N  worker threads for the per-shard step phase
-//   --shard-partition=rowband|hash  grid-to-shard assignment policy
 //   --rebalance=off|S:T:M  online rebalancing (DESIGN.md §15): plan every
 //                      S steps, act when the hottest shard exceeds T times
 //                      the mean load, move at most M cells per rebalance

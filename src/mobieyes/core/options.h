@@ -15,21 +15,12 @@ enum class PropagationMode {
   kLazy,
 };
 
-// How grid cells map onto server shards (DESIGN.md §10).
-enum class ShardPartition {
-  // Contiguous bands of grid rows: shard k owns rows [k*band, (k+1)*band).
-  // Preserves locality (a monitoring region touches few shards).
-  kRowBand,
-  // CellCoordHash(cell) % num_shards: spreads hot rows at the cost of
-  // scattering every monitoring region across all shards.
-  kHash,
-};
-
 // Server-side sharding (DESIGN.md §10). num_shards == 1 is the monolith:
-// one shard owning the whole grid, no inter-shard traffic.
+// one shard owning the whole grid, no inter-shard traffic. The epoch-0
+// partition gives shard k the k-th contiguous band of grid rows, which
+// preserves locality (a monitoring region touches few shards).
 struct ShardingOptions {
   int num_shards = 1;
-  ShardPartition partition = ShardPartition::kRowBand;
 
   // Online rebalancing (DESIGN.md §15): every rebalance_stride steps the
   // router reads the step-synchronous per-cell load window and, when the

@@ -144,7 +144,7 @@ class MobiEyesServer {
   // result sets and lease deadlines, dedup rings, clock and id counter) into
   // the attached store's checkpoint image and truncates its WAL. No-op
   // without an attached store. The image layout is shard-count-independent:
-  // shards encode sorted fragments that merge into one global sorted image.
+  // every table is written in ascending id order.
   void Checkpoint() { router_.Checkpoint(); }
 
   // Rebuilds this (freshly constructed) server from `store`: decodes the

@@ -7,24 +7,8 @@
 
 namespace mobieyes::core {
 
-namespace {
-
-// Hash-map keys in deterministic order, so two checkpoints of identical
-// logical state are byte-identical.
-template <typename Map>
-std::vector<typename Map::key_type> SortedKeys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-}  // namespace
-
 ShardMap::ShardMap(const geo::Grid& grid, const ShardingOptions& options)
     : num_shards_(std::max(1, options.num_shards)),
-      partition_(options.partition),
       columns_(grid.columns()),
       cell_count_(grid.CellCount()) {
   band_rows_ = (grid.rows() + num_shards_ - 1) / num_shards_;
@@ -39,7 +23,7 @@ std::vector<int> ShardMap::ShardsIntersecting(
     shards.push_back(0);
     return shards;
   }
-  if (epoch_ == 0 && partition_ == ShardPartition::kRowBand) {
+  if (epoch_ == 0) {
     // Band ownership is monotone in j, so the row interval maps to a
     // contiguous shard interval.
     int lo = ShardOf({range.i_lo, range.j_lo});
@@ -47,9 +31,8 @@ std::vector<int> ShardMap::ShardsIntersecting(
     for (int s = lo; s <= hi; ++s) shards.push_back(s);
     return shards;
   }
-  // Hash partition (and any rebalanced epoch): a monitoring region is a
-  // handful of cells, so walking it is cheap; a huge range is
-  // conservatively owned by everyone.
+  // A rebalanced epoch: a monitoring region is a handful of cells, so
+  // walking it is cheap; a huge range is conservatively owned by everyone.
   constexpr int64_t kWalkLimit = 256;
   if (range.CellCount() > kWalkLimit) {
     for (int s = 0; s < num_shards_; ++s) shards.push_back(s);
@@ -65,13 +48,8 @@ std::vector<int> ShardMap::ShardsIntersecting(
 
 int ShardMap::SeedOwner(int64_t flat) const {
   if (num_shards_ == 1) return 0;
-  geo::CellCoord cell{static_cast<int32_t>(flat % columns_),
-                      static_cast<int32_t>(flat / columns_)};
-  if (partition_ == ShardPartition::kRowBand) {
-    return std::min(cell.j / band_rows_, num_shards_ - 1);
-  }
-  return static_cast<int>(geo::CellCoordHash{}(cell) %
-                          static_cast<size_t>(num_shards_));
+  return std::min(static_cast<int32_t>(flat / columns_) / band_rows_,
+                  num_shards_ - 1);
 }
 
 void ShardMap::AssignmentSnapshot(std::vector<int32_t>* out) const {
@@ -187,26 +165,6 @@ Status DecodeAssignment(const uint8_t* data, size_t size, int num_shards,
   return Status::OK();
 }
 
-FotEntry* ServerShard::FindFocal(ObjectId oid) {
-  auto it = fot_.find(oid);
-  return it == fot_.end() ? nullptr : &it->second;
-}
-
-const FotEntry* ServerShard::FindFocal(ObjectId oid) const {
-  auto it = fot_.find(oid);
-  return it == fot_.end() ? nullptr : &it->second;
-}
-
-SqtEntry* ServerShard::FindQuery(QueryId qid) {
-  auto it = sqt_.find(qid);
-  return it == sqt_.end() ? nullptr : &it->second;
-}
-
-const SqtEntry* ServerShard::FindQuery(QueryId qid) const {
-  auto it = sqt_.find(qid);
-  return it == sqt_.end() ? nullptr : &it->second;
-}
-
 void ServerShard::RqiAdd(QueryId qid, const geo::CellRange& mon_region) {
   mon_region.ForEach([&](int32_t i, int32_t j) {
     geo::CellCoord c{i, j};
@@ -219,132 +177,6 @@ void ServerShard::RqiRemove(QueryId qid, const geo::CellRange& mon_region) {
     geo::CellCoord c{i, j};
     if (OwnsCell(c)) rqi_.RemoveCell(qid, c);
   });
-}
-
-void ServerShard::CollectExpired(Seconds now,
-                                 std::vector<QueryId>* out) const {
-  for (const auto& [qid, entry] : sqt_) {
-    if (entry.expires_at <= now) out->push_back(qid);
-  }
-}
-
-void ServerShard::CollectLeaseDue(Seconds now,
-                                  std::vector<QueryId>* out) const {
-  for (const auto& [qid, entry] : sqt_) {
-    if (entry.lease_renew_at <= now) out->push_back(qid);
-  }
-}
-
-net::ShardHandoff ServerShard::ExtractFocal(ObjectId oid, int to_shard) {
-  net::ShardHandoff handoff;
-  handoff.from_shard = shard_id_;
-  handoff.to_shard = to_shard;
-  handoff.oid = oid;
-
-  auto fot_it = fot_.find(oid);
-  if (fot_it == fot_.end()) return handoff;
-  FotEntry focal = std::move(fot_it->second);
-  fot_.erase(fot_it);
-
-  handoff.state = focal.state;
-  handoff.max_speed = focal.max_speed;
-  handoff.cell = focal.cell;
-  handoff.queries.reserve(focal.queries.size());
-  for (QueryId qid : focal.queries) {
-    auto sqt_it = sqt_.find(qid);
-    if (sqt_it == sqt_.end()) continue;
-    SqtEntry entry = std::move(sqt_it->second);
-    sqt_.erase(sqt_it);
-    net::ShardQueryState q;
-    q.qid = entry.qid;
-    q.focal_oid = entry.focal_oid;
-    q.region = entry.region;
-    q.filter_threshold = entry.filter_threshold;
-    q.curr_cell = entry.curr_cell;
-    q.mon_region = entry.mon_region;
-    q.expires_at = entry.expires_at;
-    q.lease_renew_at = entry.lease_renew_at;
-    q.result.assign(entry.result.begin(), entry.result.end());
-    handoff.queries.push_back(std::move(q));
-  }
-  ++stats_.handoffs_out;
-  return handoff;
-}
-
-void ServerShard::AdoptFocal(net::ShardHandoff handoff) {
-  FotEntry focal;
-  focal.state = handoff.state;
-  focal.max_speed = handoff.max_speed;
-  focal.cell = handoff.cell;
-  focal.queries.reserve(handoff.queries.size());
-  for (net::ShardQueryState& q : handoff.queries) {
-    SqtEntry entry;
-    entry.qid = q.qid;
-    entry.focal_oid = q.focal_oid;
-    entry.region = q.region;
-    entry.filter_threshold = q.filter_threshold;
-    entry.curr_cell = q.curr_cell;
-    entry.mon_region = q.mon_region;
-    entry.expires_at = q.expires_at;
-    entry.lease_renew_at = q.lease_renew_at;
-    entry.result.insert(q.result.begin(), q.result.end());
-    focal.queries.push_back(q.qid);
-    sqt_.emplace(q.qid, std::move(entry));
-  }
-  fot_.emplace(handoff.oid, std::move(focal));
-  ++stats_.handoffs_in;
-}
-
-ServerShard::ImageChunk ServerShard::EncodeFotChunk() const {
-  ImageChunk chunk;
-  chunk.keys = SortedKeys(fot_);
-  chunk.offsets.reserve(chunk.keys.size() + 1);
-  net::ByteWriter w(&chunk.bytes);
-  chunk.offsets.push_back(0);
-  for (ObjectId oid : chunk.keys) {
-    const FotEntry& entry = fot_.at(oid);
-    w.I64(oid);
-    w.State(entry.state);
-    w.F64(entry.max_speed);
-    w.Cell(entry.cell);
-    // The bound-query list keeps its live order: broadcast order during
-    // velocity relays follows it.
-    w.U32(static_cast<uint32_t>(entry.queries.size()));
-    for (QueryId qid : entry.queries) w.I64(qid);
-    chunk.offsets.push_back(chunk.bytes.size());
-  }
-  return chunk;
-}
-
-ServerShard::ImageChunk ServerShard::EncodeSqtChunk() const {
-  ImageChunk chunk;
-  chunk.keys = SortedKeys(sqt_);
-  chunk.offsets.reserve(chunk.keys.size() + 1);
-  net::ByteWriter w(&chunk.bytes);
-  chunk.offsets.push_back(0);
-  for (QueryId qid : chunk.keys) {
-    const SqtEntry& entry = sqt_.at(qid);
-    w.I64(entry.qid);
-    w.I64(entry.focal_oid);
-    w.Region(entry.region);
-    w.F64(entry.filter_threshold);
-    w.Cell(entry.curr_cell);
-    w.Range(entry.mon_region);
-    w.F64(entry.expires_at);
-    w.F64(entry.lease_renew_at);
-    std::vector<ObjectId> result(entry.result.begin(), entry.result.end());
-    std::sort(result.begin(), result.end());
-    w.U32(static_cast<uint32_t>(result.size()));
-    for (ObjectId oid : result) w.I64(oid);
-    chunk.offsets.push_back(chunk.bytes.size());
-  }
-  return chunk;
-}
-
-void ServerShard::Clear() {
-  fot_.clear();
-  sqt_.clear();
-  rqi_ = ReverseQueryIndex(*grid_);
 }
 
 }  // namespace mobieyes::core

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -24,6 +23,9 @@ inline constexpr Seconds kNeverExpires =
 // FOT row (paper §3.2): last reported kinematics of a focal object plus
 // the queries bound to it.
 struct FotEntry {
+  // Shard owning `cell`, the focal's home (DESIGN.md §10): a label the
+  // router moves with a handoff, never a physical location.
+  int home = -1;
   net::FocalState state;
   double max_speed = 0.0;  // miles/second, carried for safe periods
   // Last known grid cell, kept current by cell-change reports. The
@@ -37,6 +39,7 @@ struct FotEntry {
 // are time-bounded ("during next 2 hours"), so a query may carry a
 // duration after which the server uninstalls it everywhere.
 struct SqtEntry {
+  int home = -1;  // the focal's home (co-location, DESIGN.md §10)
   QueryId qid = kInvalidQueryId;
   ObjectId focal_oid = kInvalidObjectId;
   geo::QueryRegion region;
@@ -74,12 +77,10 @@ class ShardMap {
   ShardMap(const geo::Grid& grid, const ShardingOptions& options);
 
   int num_shards() const { return num_shards_; }
-  ShardPartition partition() const { return partition_; }
   uint64_t epoch() const { return epoch_; }
 
-  // Owning shard of a grid cell, in [0, num_shards). The epoch-0 fast
-  // paths are byte-for-byte the frozen-partition formulas, so runs without
-  // rebalancing are unchanged.
+  // Owning shard of a grid cell, in [0, num_shards). Epoch 0 answers from
+  // the row-band formula, so runs without rebalancing are unchanged.
   int ShardOf(const geo::CellCoord& cell) const {
     if (num_shards_ == 1) return 0;
     if (epoch_ > 0) {
@@ -87,17 +88,13 @@ class ShardMap {
                         static_cast<size_t>(columns_) +
                     static_cast<size_t>(cell.i)];
     }
-    if (partition_ == ShardPartition::kRowBand) {
-      return std::min(cell.j / band_rows_, num_shards_ - 1);
-    }
-    return static_cast<int>(geo::CellCoordHash{}(cell) %
-                            static_cast<size_t>(num_shards_));
+    return std::min(cell.j / band_rows_, num_shards_ - 1);
   }
 
-  // Shards owning at least one cell of `range`, ascending. Row-band
-  // partitions answer exactly from the row interval; the hash partition
-  // (and any epoch > 0 assignment) enumerates the range's cells — or
-  // reports every shard for a range too large to be worth walking.
+  // Shards owning at least one cell of `range`, ascending. The epoch-0 row
+  // bands answer exactly from the row interval; an epoch > 0 assignment
+  // enumerates the range's cells — or reports every shard for a range too
+  // large to be worth walking.
   std::vector<int> ShardsIntersecting(const geo::CellRange& range) const;
 
   // Epoch-0 owner of a flat cell index (the seed assignment).
@@ -122,8 +119,7 @@ class ShardMap {
 
  private:
   int num_shards_;
-  ShardPartition partition_;
-  int32_t band_rows_;  // rows per shard band (row-band partitioning)
+  int32_t band_rows_;  // rows per shard band (the epoch-0 seed)
   int32_t columns_;
   int64_t cell_count_;
   uint64_t epoch_ = 0;
@@ -140,12 +136,13 @@ void EncodeAssignment(const std::vector<int32_t>& owners,
 Status DecodeAssignment(const uint8_t* data, size_t size, int num_shards,
                         std::vector<int32_t>* owners, size_t* consumed);
 
-// One grid partition's slice of the server state: the FOT/SQT entries homed
-// on its cells and the RQI rows of the cells it owns. A shard is a passive
-// state container plus the scans that parallelize across shards — all
-// orchestration (uplink dispatch, broadcasts, cross-shard reads) lives in
-// the ShardRouter, which is what keeps a multi-shard run's observable
-// behavior identical to the monolith.
+// One grid partition of the server: the RQI rows of the cells it owns plus
+// its operational counters. The FOT, SQT and dedup rows live in the
+// router's id-indexed tables, each row labelled with its home shard; a
+// shard is the unit the router charges backplane traffic, heat and uplinks
+// to, and all orchestration (uplink dispatch, broadcasts, cross-shard
+// reads) lives in the ShardRouter, which is what keeps a multi-shard run's
+// observable behavior identical to the monolith.
 class ServerShard {
  public:
   // Per-shard operational counters, exported as shard_id-tagged gauges
@@ -155,20 +152,12 @@ class ServerShard {
     uint64_t uplinks_routed = 0;  // uplinks whose ingress shard was this one
     uint64_t handoffs_in = 0;
     uint64_t handoffs_out = 0;
-    // Step-phase wall time spent on this shard's scans. The max across
-    // shards is the critical path of a perfectly parallel step, which is
-    // how the shard bench reports speedup independently of how many
-    // hardware threads the measuring machine happens to have.
+    // Step-phase wall time of step-phase worker k = this shard's index: the
+    // k-th contiguous id slice of each table scan and checkpoint section.
+    // The max across shards is the critical path of a perfectly parallel
+    // step, which is how the shard bench reports speedup independently of
+    // how many hardware threads the measuring machine happens to have.
     uint64_t step_micros = 0;
-  };
-
-  // Checkpoint fragment: this shard's table entries, encoded per entry in
-  // ascending key order. The router k-way merges fragments from all shards
-  // into the global sorted-key image — byte-identical to the monolith's.
-  struct ImageChunk {
-    std::vector<int64_t> keys;    // ascending
-    std::vector<size_t> offsets;  // keys.size() + 1 offsets into bytes
-    std::vector<uint8_t> bytes;
   };
 
   ServerShard(int shard_id, const geo::Grid& grid, const ShardMap& map)
@@ -178,18 +167,6 @@ class ServerShard {
   bool OwnsCell(const geo::CellCoord& cell) const {
     return map_->ShardOf(cell) == shard_id_;
   }
-
-  // --- State tables (mutated only by the router, serially) -----------------
-
-  std::unordered_map<ObjectId, FotEntry>& fot() { return fot_; }
-  const std::unordered_map<ObjectId, FotEntry>& fot() const { return fot_; }
-  std::unordered_map<QueryId, SqtEntry>& sqt() { return sqt_; }
-  const std::unordered_map<QueryId, SqtEntry>& sqt() const { return sqt_; }
-
-  FotEntry* FindFocal(ObjectId oid);
-  const FotEntry* FindFocal(ObjectId oid) const;
-  SqtEntry* FindQuery(QueryId qid);
-  const SqtEntry* FindQuery(QueryId qid) const;
 
   // --- RQI slice -----------------------------------------------------------
   // Full-grid-shaped index populated only on owned cells. Registration is
@@ -214,29 +191,8 @@ class ServerShard {
     rqi_.SetRow(c, std::move(row));
   }
 
-  // --- Step-phase scans (read-only; safe to run concurrently per shard) ----
-
-  void CollectExpired(Seconds now, std::vector<QueryId>* out) const;
-  void CollectLeaseDue(Seconds now, std::vector<QueryId>* out) const;
-
-  // --- Ownership handoff (DESIGN.md §10) -----------------------------------
-
-  // Detaches a focal object and every query bound to it into a handoff
-  // message for `to_shard`. RQI rows stay put — they are keyed by cell, not
-  // by owner, so a handoff moves table entries only.
-  net::ShardHandoff ExtractFocal(ObjectId oid, int to_shard);
-
-  // Installs a handoff's FOT row and SQT entries into this shard,
-  // preserving the binding order carried by the message.
-  void AdoptFocal(net::ShardHandoff handoff);
-
-  // --- Checkpointing -------------------------------------------------------
-
-  ImageChunk EncodeFotChunk() const;
-  ImageChunk EncodeSqtChunk() const;
-
-  // Drops all state (checkpoint decode starts from empty shards).
-  void Clear();
+  // Drops the RQI slice (checkpoint decode starts from empty shards).
+  void Clear() { rqi_ = ReverseQueryIndex(*grid_); }
 
   const Stats& stats() const { return stats_; }
   Stats& stats() { return stats_; }
@@ -246,8 +202,6 @@ class ServerShard {
   const geo::Grid* grid_;
   const ShardMap* map_;
 
-  std::unordered_map<ObjectId, FotEntry> fot_;
-  std::unordered_map<QueryId, SqtEntry> sqt_;
   ReverseQueryIndex rqi_;
   Stats stats_;
 };

@@ -17,8 +17,9 @@ namespace {
 
 // Checkpoint image framing ("MoCI"), distinct from the store framing
 // ("MoCS") and the wire framing ("MoEY") so a buffer can never be mistaken
-// for the wrong layer. The image is global and sorted-key — independent of
-// the shard count, so any deployment can restore any checkpoint.
+// for the wrong layer. The image is global and in ascending id order —
+// independent of the shard count, so any deployment can restore any
+// checkpoint.
 constexpr uint32_t kImageMagic = 0x4d6f4349;
 constexpr uint16_t kImageVersion = 1;
 // Version 2 = version 1 plus the live partition epoch (epoch counter, shard
@@ -27,20 +28,9 @@ constexpr uint16_t kImageVersion = 1;
 // to version 1 — and shard-count-independent, as before.
 constexpr uint16_t kImageVersionEpoch = 2;
 
-// Hash-map keys in deterministic order, so two checkpoints of identical
-// logical state are byte-identical.
-template <typename Map>
-std::vector<typename Map::key_type> SortedKeys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 // Modeled payload sizes of the coordinator backplane ops (DESIGN.md §10):
 // what a multi-process deployment would put on the wire for each cross-shard
-// interaction. Handoffs use their real wire encoding instead.
+// interaction. Handoffs are charged at their real wire encoding instead.
 constexpr size_t kOpEntryRead = net::kQueryInfoBytes;  // fetch a full SQT row
 constexpr size_t kOpEntryTouch = 2 * net::kIdBytes;    // qid -> focal/erase
 constexpr size_t kOpResultFlip = 2 * net::kIdBytes + 1;
@@ -92,8 +82,8 @@ void ShardRouter::ForEachShard(const char* span_name, const Fn& fn) const {
     } else {
       fn(static_cast<int>(k));
     }
-    // Each shard accumulates into its own Stats, so this is race-free even
-    // when the pool runs shards concurrently.
+    // Each worker accumulates into its own shard's Stats, so this is
+    // race-free even when the pool runs workers concurrently.
     const auto elapsed = std::chrono::steady_clock::now() - t0;
     shards_[static_cast<size_t>(k)]->stats().step_micros +=
         static_cast<uint64_t>(
@@ -185,16 +175,24 @@ bool ShardRouter::UplinkHeatCell(const Message& message,
 }
 
 int ShardRouter::ShardOfQuery(QueryId qid) const {
-  return qid_home_.Find(qid);
+  const SqtEntry* entry = sqt_.Find(qid);
+  return entry == nullptr ? -1 : entry->home;
 }
 
 int ShardRouter::ShardOfFocal(ObjectId oid) const {
-  return focal_home_.Find(oid);
+  const FotEntry* focal = fot_.Find(oid);
+  return focal == nullptr ? -1 : focal->home;
 }
 
-SqtEntry* ShardRouter::MutableQuery(QueryId qid) {
-  const int home = qid_home_.Find(qid);
-  return home < 0 ? nullptr : shards_[home]->FindQuery(qid);
+ShardRouter::HomedRows ShardRouter::RowsHomedOn(int k) const {
+  HomedRows rows;
+  fot_.ForEachIn(0, fot_.id_end(), [&](ObjectId, const FotEntry& focal) {
+    if (focal.home == k) ++rows.focals;
+  });
+  sqt_.ForEachIn(0, sqt_.id_end(), [&](QueryId, const SqtEntry& entry) {
+    if (entry.home == k) ++rows.queries;
+  });
+  return rows;
 }
 
 const std::vector<QueryId>& ShardRouter::QueriesForCell(
@@ -202,42 +200,35 @@ const std::vector<QueryId>& ShardRouter::QueriesForCell(
   return shards_[map_.ShardOf(cell)]->QueriesForCell(cell);
 }
 
-int ShardRouter::MigrateIfNeeded(ObjectId oid) {
-  const int home = focal_home_.Find(oid);
-  if (home < 0) return -1;
-  ServerShard& src = *shards_[home];
-  const FotEntry* focal = src.FindFocal(oid);
-  if (focal == nullptr) return home;
-  int target = map_.ShardOf(focal->cell);
-  if (target == home) return home;
-  // ExtractFocal below invalidates `focal`.
-  const geo::CellCoord handoff_cell = focal->cell;
+int ShardRouter::MigrateIfNeeded(ObjectId oid, FotEntry& focal) {
+  const int from = focal.home;
+  const int target = map_.ShardOf(focal.cell);
+  if (target == from) return from;
 
-  // The focal crossed a partition boundary: migrate ownership with an
-  // explicit handoff message so the co-location invariant holds. The
-  // handoff is delivered in-memory on the coordinator backplane and
-  // accounted at its real wire size; it never touches the wireless medium,
-  // so clients cannot observe the shard layout.
-  Message message = net::MakeMessage(src.ExtractFocal(oid, target));
+  // The focal crossed a partition boundary: its FOT row and every query
+  // bound to it change home together, so the co-location invariant holds.
+  // The handoff is charged to the coordinator backplane at the wire size of
+  // the message a multi-process deployment would send; it never touches the
+  // wireless medium, so clients cannot observe the shard layout.
   if (!replaying_) {
     ++backplane_.messages;
     ++backplane_.handoffs;
-    backplane_.bytes += net::WireSizeBytes(message);
+    backplane_.bytes += net::WireSizeBytes(HandoffMessage(oid, focal, target));
     // Layout-dependent by nature (no handoffs with one shard), so the
     // handoffs channel and handoff kind are excluded from deterministic
     // exports.
-    ChargeHeat(obs::HeatMap::kHandoffs, handoff_cell, 1);
+    ChargeHeat(obs::HeatMap::kHandoffs, focal.cell, 1);
     if (lifecycle_ != nullptr) {
       lifecycle_->Stamp(obs::LifecycleTracker::kHandoff,
                         static_cast<uint64_t>(oid));
     }
   }
-  auto& handoff = std::get<net::ShardHandoff>(message.payload);
-  for (const net::ShardQueryState& q : handoff.queries) {
-    qid_home_.Set(q.qid, target);
+  for (QueryId qid : focal.queries) {
+    if (SqtEntry* entry = sqt_.Find(qid)) entry->home = target;
   }
-  shards_[target]->AdoptFocal(std::move(handoff));
-  focal_home_.Set(oid, target);
+  focal.home = target;
+  ++shards_[from]->stats().handoffs_out;
+  ++shards_[target]->stats().handoffs_in;
   if (lifecycle_ != nullptr && !replaying_) {
     // Ownership transferred within the dispatch: a same-step (latency 0)
     // round, recorded so handoff volume shows up in the lifecycle table.
@@ -245,6 +236,33 @@ int ShardRouter::MigrateIfNeeded(ObjectId oid) {
                                  static_cast<uint64_t>(oid));
   }
   return target;
+}
+
+net::Message ShardRouter::HandoffMessage(ObjectId oid, const FotEntry& focal,
+                                         int to_shard) const {
+  net::ShardHandoff handoff;
+  handoff.from_shard = focal.home;
+  handoff.to_shard = to_shard;
+  handoff.oid = oid;
+  handoff.state = focal.state;
+  handoff.max_speed = focal.max_speed;
+  handoff.cell = focal.cell;
+  for (QueryId qid : focal.queries) {
+    const SqtEntry* entry = sqt_.Find(qid);
+    if (entry == nullptr) continue;
+    net::ShardQueryState q;
+    q.qid = entry->qid;
+    q.focal_oid = entry->focal_oid;
+    q.region = entry->region;
+    q.filter_threshold = entry->filter_threshold;
+    q.curr_cell = entry->curr_cell;
+    q.mon_region = entry->mon_region;
+    q.expires_at = entry->expires_at;
+    q.lease_renew_at = entry->lease_renew_at;
+    q.result.assign(entry->result.begin(), entry->result.end());
+    handoff.queries.push_back(std::move(q));
+  }
+  return net::MakeMessage(std::move(handoff));
 }
 
 void ShardRouter::MaybeRebalance(int64_t step) {
@@ -292,13 +310,13 @@ void ShardRouter::ExecuteRebalance(const std::vector<CellMove>& moves) {
   }
 
   // Re-home every focal object whose cell changed owner through the
-  // ordinary handoff path, in ascending oid order (the home table's order),
-  // which fixes the handoff sequence and everything accounted along it.
+  // ordinary handoff path, in ascending oid order (the FOT's order), which
+  // fixes the handoff sequence and everything accounted along it.
   uint64_t focals_moved = 0;
-  for (ObjectId oid = 0; oid < focal_home_.id_end(); ++oid) {
-    const int before = focal_home_.Find(oid);
-    if (before >= 0 && MigrateIfNeeded(oid) != before) ++focals_moved;
-  }
+  fot_.ForEachIn(0, fot_.id_end(), [&](ObjectId oid, FotEntry& focal) {
+    const int before = focal.home;
+    if (MigrateIfNeeded(oid, focal) != before) ++focals_moved;
+  });
 
   ++rebalance_stats_.events;
   rebalance_stats_.cells_moved += cells_moved;
@@ -346,33 +364,32 @@ Result<QueryId> ShardRouter::InstallQuery(ObjectId focal_oid,
 
   // §3.3 step 3: if the focal object is unknown, request its kinematics.
   // Delivery is synchronous, so the PositionVelocityReport round trip
-  // completes (and fills the FOT on the cell's shard) before the call below
-  // returns. (During WAL replay the round trip is suppressed; Restore
-  // pre-applies the logged PositionVelocityReport instead.)
-  if (!focal_home_.contains(focal_oid)) {
+  // completes (and fills the FOT) before the call below returns. (During
+  // WAL replay the round trip is suppressed; Restore pre-applies the logged
+  // PositionVelocityReport instead.)
+  if (fot_.Find(focal_oid) == nullptr) {
     SendDownlink(focal_oid,
                  net::MakeMessage(net::PositionVelocityRequest{focal_oid}));
-    if (!focal_home_.contains(focal_oid)) {
-      return Status::NotFound("focal object did not report its position");
-    }
+  }
+  FotEntry* focal = fot_.Find(focal_oid);
+  if (focal == nullptr) {
+    return Status::NotFound("focal object did not report its position");
   }
   if (next_qid_ >= kMaxDenseId) {
     return Status::OutOfRange("query id space exhausted");
   }
   // Installation executes on the focal's home shard.
-  const int home = focal_home_.Find(focal_oid);
-  ctx_shard_ = home;
-  ServerShard& shard = *shards_[home];
-  FotEntry& focal = *shard.FindFocal(focal_oid);
+  ctx_shard_ = focal->home;
 
   // §3.3 step 4: create the SQT entry and index it in the RQI.
   QueryId qid = next_qid_++;
-  SqtEntry entry;
+  SqtEntry& entry = *sqt_.Insert(qid);
+  entry.home = focal->home;
   entry.qid = qid;
   entry.focal_oid = focal_oid;
   entry.region = region;
   entry.filter_threshold = filter_threshold;
-  entry.curr_cell = focal.cell;
+  entry.curr_cell = focal->cell;
   entry.mon_region = grid_->MonitoringRegion(entry.curr_cell,
                                              region.ReachX(),
                                              region.ReachY());
@@ -386,11 +403,8 @@ Result<QueryId> ShardRouter::InstallQuery(ObjectId focal_oid,
                    (1.0 + static_cast<double>(qid % 8) / 8.0);
   }
   RqiAddAll(qid, entry.mon_region);
-  focal.queries.push_back(qid);
-  auto [it, inserted] = shard.sqt().emplace(qid, std::move(entry));
-  (void)inserted;
-  qid_home_.Insert(qid, home);
-  ChargeHeat(obs::HeatMap::kInstalls, it->second.curr_cell, 1);
+  focal->queries.push_back(qid);
+  ChargeHeat(obs::HeatMap::kInstalls, entry.curr_cell, 1);
   if (lifecycle_ != nullptr && !replaying_) {
     // Install->first-result round, closed when the first target report for
     // this query lands (result-bitmap or reconcile resync path).
@@ -404,66 +418,50 @@ Result<QueryId> ShardRouter::InstallQuery(ObjectId focal_oid,
   SendDownlink(focal_oid,
                net::MakeMessage(net::FocalNotification{focal_oid, qid}));
   net::QueryInstallBroadcast broadcast;
-  broadcast.queries.push_back(BuildQueryInfo(shard, it->second));
-  BroadcastToRegion(it->second.mon_region,
-                    net::MakeMessage(std::move(broadcast)));
+  broadcast.queries.push_back(BuildQueryInfo(entry));
+  BroadcastToRegion(entry.mon_region, net::MakeMessage(std::move(broadcast)));
   return qid;
+}
+
+void ShardRouter::ScanDueQueries(const char* span_name,
+                                 Seconds SqtEntry::*deadline) {
+  std::vector<std::vector<QueryId>>& parts = scan_parts_;
+  parts.resize(static_cast<size_t>(num_shards()));
+  TimedSection timed(load_timer_);
+  TimedSection step(step_timer_);
+  ForEachShard(span_name, [&](int k) {
+    std::vector<QueryId>& part = parts[static_cast<size_t>(k)];
+    part.clear();
+    const auto [lo, hi] = IdSlice(k, sqt_.id_end());
+    sqt_.ForEachIn(lo, hi, [&](QueryId qid, const SqtEntry& entry) {
+      if (entry.*deadline <= now_) part.push_back(qid);
+    });
+  });
+  scan_merged_.clear();
+  for (const auto& part : parts) {
+    scan_merged_.insert(scan_merged_.end(), part.begin(), part.end());
+  }
 }
 
 void ShardRouter::AdvanceTime(Seconds now) {
   TRACE_SPAN(trace_, "server.advance_time");
   now_ = now;
-  const size_t n = static_cast<size_t>(num_shards());
-  std::vector<std::vector<QueryId>>& per_shard = scan_per_shard_;
-  per_shard.resize(n);
-  for (auto& part : per_shard) part.clear();
-  std::vector<QueryId>& expired = scan_merged_;
-  expired.clear();
-  {
-    TimedSection timed(load_timer_);
-    TimedSection step(step_timer_);
-    ForEachShard("server.shard.expiry_scan", [&](int k) {
-      shards_[k]->CollectExpired(now, &per_shard[k]);
-    });
-    for (const auto& part : per_shard) {
-      expired.insert(expired.end(), part.begin(), part.end());
-    }
-  }
-  // Sorted so removal-broadcast order does not depend on hash-map layout —
-  // or on the shard count: a merged multi-shard scan and the monolith's
-  // single scan collapse to the same sequence.
-  std::sort(expired.begin(), expired.end());
-  for (QueryId qid : expired) {
+  // Ascending qid order, so removal-broadcast order is independent of the
+  // shard count.
+  ScanDueQueries("server.shard.expiry_scan", &SqtEntry::expires_at);
+  for (QueryId qid : scan_merged_) {
     (void)RemoveQuery(qid);
   }
   if (options_.lease_duration > 0.0) RenewLeases();
 }
 
 void ShardRouter::RenewLeases() {
-  const size_t n = static_cast<size_t>(num_shards());
-  std::vector<std::vector<QueryId>>& per_shard = scan_per_shard_;
-  per_shard.resize(n);
-  for (auto& part : per_shard) part.clear();
-  std::vector<QueryId>& due = scan_merged_;
-  due.clear();
-  {
-    TimedSection timed(load_timer_);
-    TimedSection step(step_timer_);
-    ForEachShard("server.shard.lease_scan", [&](int k) {
-      shards_[k]->CollectLeaseDue(now_, &per_shard[k]);
-    });
-    for (const auto& part : per_shard) {
-      due.insert(due.end(), part.begin(), part.end());
-    }
-  }
-  // Sorted so the broadcast order (and hence any fault-injection draw
-  // sequence downstream) is independent of hash-map iteration order.
-  std::sort(due.begin(), due.end());
-  for (QueryId qid : due) {
-    const int home = qid_home_.Find(qid);
-    ctx_shard_ = home;
-    ServerShard& shard = *shards_[home];
-    SqtEntry& entry = *shard.FindQuery(qid);
+  // Ascending qid order fixes the broadcast order (and hence any
+  // fault-injection draw sequence downstream).
+  ScanDueQueries("server.shard.lease_scan", &SqtEntry::lease_renew_at);
+  for (QueryId qid : scan_merged_) {
+    SqtEntry& entry = *sqt_.Find(qid);
+    ctx_shard_ = entry.home;
     entry.lease_renew_at = now_ + options_.lease_duration;
     // Re-assert hasMQ on the focal object (a lost FocalNotification would
     // otherwise silence its dead reckoning forever), then refresh the
@@ -473,7 +471,7 @@ void ShardRouter::RenewLeases() {
                  net::MakeMessage(net::FocalNotification{entry.focal_oid,
                                                          qid}));
     net::QueryUpdateBroadcast broadcast;
-    broadcast.queries.push_back(BuildQueryInfo(shard, entry));
+    broadcast.queries.push_back(BuildQueryInfo(entry));
     BroadcastToRegion(entry.mon_region,
                       net::MakeMessage(std::move(broadcast)));
   }
@@ -481,16 +479,13 @@ void ShardRouter::RenewLeases() {
 
 Status ShardRouter::RemoveQuery(QueryId qid) {
   TimedSection timed(load_timer_);
-  const int home = qid_home_.Find(qid);
-  if (home < 0) return Status::NotFound("unknown query id");
-  ctx_shard_ = home;
-  ServerShard& shard = *shards_[home];
-  auto it = shard.sqt().find(qid);
-  if (it == shard.sqt().end()) return Status::NotFound("unknown query id");
-  SqtEntry entry = std::move(it->second);
-  shard.sqt().erase(it);
-  qid_home_.Erase(qid);
-  RqiRemoveAll(qid, entry.mon_region);
+  SqtEntry* row = sqt_.Find(qid);
+  if (row == nullptr) return Status::NotFound("unknown query id");
+  ctx_shard_ = row->home;
+  const ObjectId focal_oid = row->focal_oid;
+  const geo::CellRange mon_region = row->mon_region;
+  sqt_.Erase(qid);
+  RqiRemoveAll(qid, mon_region);
   if (lifecycle_ != nullptr && !replaying_) {
     // A query removed before any target reported cancels its open
     // install->first-result round (counted, not leaked).
@@ -498,25 +493,21 @@ Status ShardRouter::RemoveQuery(QueryId qid) {
                      static_cast<uint64_t>(qid));
   }
 
-  // Co-location: the focal (if still bound) lives on the same shard.
-  auto fot_it = shard.fot().find(entry.focal_oid);
-  if (fot_it != shard.fot().end()) {
-    auto& queries = fot_it->second.queries;
+  if (FotEntry* focal = fot_.Find(focal_oid)) {
+    auto& queries = focal->queries;
     queries.erase(std::find(queries.begin(), queries.end(), qid));
     if (queries.empty()) {
       // No query bound to this object anymore: clear its hasMQ flag (and
       // drop it from the FOT — nothing left to mediate for it).
-      SendDownlink(entry.focal_oid,
-                   net::MakeMessage(net::FocalNotification{
-                       entry.focal_oid, kInvalidQueryId}));
-      shard.fot().erase(fot_it);
-      focal_home_.Erase(entry.focal_oid);
+      SendDownlink(focal_oid, net::MakeMessage(net::FocalNotification{
+                                  focal_oid, kInvalidQueryId}));
+      fot_.Erase(focal_oid);
     }
   }
 
   net::QueryRemoveBroadcast broadcast;
   broadcast.qids.push_back(qid);
-  BroadcastToRegion(entry.mon_region, net::MakeMessage(std::move(broadcast)));
+  BroadcastToRegion(mon_region, net::MakeMessage(std::move(broadcast)));
   return Status::OK();
 }
 
@@ -525,7 +516,7 @@ int ShardRouter::IngressShard(const Message& message) const {
   switch (message.type) {
     case net::MessageType::kQueryInstallRequest: {
       const auto& p = std::get<net::QueryInstallRequest>(message.payload);
-      return std::max(focal_home_.Find(p.oid), 0);
+      return std::max(ShardOfFocal(p.oid), 0);
     }
     case net::MessageType::kPositionVelocityReport: {
       const auto& p = std::get<net::PositionVelocityReport>(message.payload);
@@ -542,8 +533,7 @@ int ShardRouter::IngressShard(const Message& message) const {
     case net::MessageType::kResultBitmapReport: {
       const auto& p = std::get<net::ResultBitmapReport>(message.payload);
       for (QueryId qid : p.qids) {
-        const int home = qid_home_.Find(qid);
-        if (home >= 0) return home;
+        if (const SqtEntry* entry = sqt_.Find(qid)) return entry->home;
       }
       return 0;
     }
@@ -581,7 +571,7 @@ void ShardRouter::OnUplink(ObjectId from, const Message& message) {
   }
   // A non-zero envelope seq marks a tracked uplink (reliable-uplink
   // hardening): acknowledge it and drop retransmissions of messages already
-  // processed.
+  // processed, and any from an out-of-range sender.
   if (message.seq != 0 && AckAndDedup(from, message.seq)) {
     dispatching_ = outer_dispatch;
     return;
@@ -629,12 +619,12 @@ void ShardRouter::OnUplink(ObjectId from, const Message& message) {
 }
 
 bool ShardRouter::AckAndDedup(ObjectId from, uint32_t seq) {
-  auto [it, inserted] = seen_seqs_.try_emplace(from);
-  if (inserted) {
-    seen_order_.insert(
-        std::lower_bound(seen_order_.begin(), seen_order_.end(), from), from);
-  }
-  SeenSeqs& seen = it->second;
+  // The dedup table is indexed by sender: a sender id no world can hold is
+  // dropped unacknowledged rather than growing it (this also covers WAL
+  // replay of a hostile log).
+  if (from < 0 || from >= kMaxDenseId) return true;
+  SeenSeqs* row = seen_.Find(from);
+  SeenSeqs& seen = row != nullptr ? *row : *seen_.Insert(from);
   bool duplicate = false;
   for (uint32_t s : seen.ring) {
     if (s == seq) {
@@ -662,56 +652,47 @@ void ShardRouter::HandleQueryInstallRequest(
 
 void ShardRouter::HandlePositionVelocityReport(
     const net::PositionVelocityReport& report) {
-  // The home table is indexed by oid: an id no world can hold is ignored
-  // (this also covers WAL replay of a hostile log).
+  // The FOT is indexed by oid: an id no world can hold is ignored (this
+  // also covers WAL replay of a hostile log).
   if (report.oid < 0 || report.oid >= kMaxDenseId) return;
-  const int home = focal_home_.Find(report.oid);
-  if (home < 0) {
+  FotEntry* entry = fot_.Find(report.oid);
+  if (entry == nullptr) {
     // New focal object: home it on its reported cell's shard (the ingress).
-    FotEntry entry;
-    entry.state = report.state;
-    entry.max_speed = report.max_speed;
-    entry.cell = grid_->CellOf(report.state.pos);
-    const int ingress = map_.ShardOf(entry.cell);
-    shards_[ingress]->fot().emplace(report.oid, std::move(entry));
-    focal_home_.Insert(report.oid, ingress);
-    return;
+    entry = fot_.Insert(report.oid);
+    entry->home = map_.ShardOf(grid_->CellOf(report.state.pos));
+  } else {
+    CountOp(entry->home, kOpReportForward);
   }
-  if (home != ctx_shard_) CountOp(home, kOpReportForward);
-  FotEntry& entry = *shards_[home]->FindFocal(report.oid);
-  entry.state = report.state;
-  entry.max_speed = report.max_speed;
-  entry.cell = grid_->CellOf(report.state.pos);
-  (void)MigrateIfNeeded(report.oid);
+  entry->state = report.state;
+  entry->max_speed = report.max_speed;
+  entry->cell = grid_->CellOf(report.state.pos);
+  (void)MigrateIfNeeded(report.oid, *entry);
 }
 
 void ShardRouter::HandleVelocityChange(
     const net::VelocityChangeReport& report) {
-  int home = focal_home_.Find(report.oid);
-  if (home < 0) return;  // stale report, unbound object
-  if (home != ctx_shard_) CountOp(home, kOpReportForward);
-  FotEntry* focal_ptr = shards_[home]->FindFocal(report.oid);
+  FotEntry* focal_ptr = fot_.Find(report.oid);
+  if (focal_ptr == nullptr) return;  // stale report, unbound object
+  CountOp(focal_ptr->home, kOpReportForward);
   // A delayed or retransmitted report can arrive after a newer one; relaying
   // the older vector would roll every monitoring region's prediction back.
   if (report.state.tm < focal_ptr->state.tm) return;
   focal_ptr->state = report.state;
   focal_ptr->cell = grid_->CellOf(report.state.pos);
-  home = MigrateIfNeeded(report.oid);
-  ServerShard& shard = *shards_[home];
-  const FotEntry& focal = *shard.FindFocal(report.oid);
+  (void)MigrateIfNeeded(report.oid, *focal_ptr);
+  const FotEntry& focal = *focal_ptr;
 
   // §3.4: relay the new vector to the monitoring region of each query bound
   // to this focal object. Groupable queries sharing a monitoring region are
   // served by a single broadcast (§4.1); without grouping each query gets
-  // its own broadcast as in the base protocol. Co-location: every bound
-  // query's entry is on `shard`.
+  // its own broadcast as in the base protocol.
   const bool lazy = options_.propagation == PropagationMode::kLazy;
   if (options_.enable_query_grouping) {
     std::map<std::tuple<int32_t, int32_t, int32_t, int32_t>,
              std::vector<QueryId>>
         by_region;
     for (QueryId qid : focal.queries) {
-      const SqtEntry& entry = shard.sqt().at(qid);
+      const SqtEntry& entry = *sqt_.Find(qid);
       by_region[{entry.mon_region.i_lo, entry.mon_region.i_hi,
                  entry.mon_region.j_lo, entry.mon_region.j_hi}]
           .push_back(qid);
@@ -725,21 +706,20 @@ void ShardRouter::HandleVelocityChange(
       if (lazy) {
         broadcast.carries_query_info = true;
         for (QueryId qid : qids) {
-          broadcast.queries.push_back(
-              BuildQueryInfo(shard, shard.sqt().at(qid)));
+          broadcast.queries.push_back(BuildQueryInfo(*sqt_.Find(qid)));
         }
       }
       BroadcastToRegion(region, net::MakeMessage(std::move(broadcast)));
     }
   } else {
     for (QueryId qid : focal.queries) {
-      const SqtEntry& entry = shard.sqt().at(qid);
+      const SqtEntry& entry = *sqt_.Find(qid);
       net::VelocityChangeBroadcast broadcast;
       broadcast.focal_oid = report.oid;
       broadcast.state = report.state;
       if (lazy) {
         broadcast.carries_query_info = true;
-        broadcast.queries.push_back(BuildQueryInfo(shard, entry));
+        broadcast.queries.push_back(BuildQueryInfo(entry));
       }
       BroadcastToRegion(entry.mon_region,
                         net::MakeMessage(std::move(broadcast)));
@@ -772,18 +752,17 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
                                          &new_qids);
     // The object never monitors its own queries.
     std::erase_if(new_qids, [&](QueryId qid) {
-      const int home = qid_home_.Find(qid);
-      CountOp(home, kOpEntryTouch);
-      return shards_[home]->FindQuery(qid)->focal_oid == report.oid;
+      const SqtEntry& entry = *sqt_.Find(qid);
+      CountOp(entry.home, kOpEntryTouch);
+      return entry.focal_oid == report.oid;
     });
     if (!new_qids.empty()) {
       net::NewQueriesNotification notification;
       notification.oid = report.oid;
       for (QueryId qid : new_qids) {
-        const int home = qid_home_.Find(qid);
-        CountOp(home, kOpEntryRead);
-        notification.queries.push_back(
-            BuildQueryInfo(*shards_[home], *shards_[home]->FindQuery(qid)));
+        const SqtEntry& entry = *sqt_.Find(qid);
+        CountOp(entry.home, kOpEntryRead);
+        notification.queries.push_back(BuildQueryInfo(entry));
       }
       SendDownlink(report.oid, net::MakeMessage(std::move(notification)));
     }
@@ -791,15 +770,13 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
 
   // Additional operations when the mover is a focal object: recompute each
   // bound query's monitoring region and notify the union of the old and new
-  // regions. The focal (and its queries) first migrate to the new cell's
+  // regions. The focal (and its queries) first re-home to the new cell's
   // shard — which is the ingress shard — if a partition boundary was
   // crossed.
-  const int prev_home = focal_home_.Find(report.oid);
-  if (prev_home < 0) return;
-  shards_[prev_home]->FindFocal(report.oid)->cell = report.new_cell;
-  const int home = MigrateIfNeeded(report.oid);
-  ServerShard& shard = *shards_[home];
-  FotEntry& focal = *shard.FindFocal(report.oid);
+  FotEntry* focal = fot_.Find(report.oid);
+  if (focal == nullptr) return;
+  focal->cell = report.new_cell;
+  (void)MigrateIfNeeded(report.oid, *focal);
 
   // Group queries that share both old and new monitoring regions into one
   // broadcast (matching monitoring regions, §4.1).
@@ -807,8 +784,8 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
                       int32_t, int32_t>,
            std::vector<QueryId>>
       by_region_pair;
-  for (QueryId qid : focal.queries) {
-    SqtEntry& entry = shard.sqt().at(qid);
+  for (QueryId qid : focal->queries) {
+    SqtEntry& entry = *sqt_.Find(qid);
     geo::CellRange old_region = entry.mon_region;
     entry.curr_cell = report.new_cell;
     entry.mon_region = grid_->MonitoringRegion(
@@ -823,7 +800,7 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
       by_region_pair[key].push_back(qid);
     } else {
       net::QueryUpdateBroadcast broadcast;
-      broadcast.queries.push_back(BuildQueryInfo(shard, entry));
+      broadcast.queries.push_back(BuildQueryInfo(entry));
       BroadcastToRegion(geo::CellRange::Union(old_region, entry.mon_region),
                         net::MakeMessage(std::move(broadcast)));
     }
@@ -835,7 +812,7 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
                               std::get<6>(key), std::get<7>(key)};
     net::QueryUpdateBroadcast broadcast;
     for (QueryId qid : qids) {
-      broadcast.queries.push_back(BuildQueryInfo(shard, shard.sqt().at(qid)));
+      broadcast.queries.push_back(BuildQueryInfo(*sqt_.Find(qid)));
     }
     BroadcastToRegion(geo::CellRange::Union(old_region, new_region),
                       net::MakeMessage(std::move(broadcast)));
@@ -844,10 +821,9 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
 
 void ShardRouter::HandleResultBitmap(const net::ResultBitmapReport& report) {
   for (size_t k = 0; k < report.qids.size(); ++k) {
-    const int home = qid_home_.Find(report.qids[k]);
-    if (home < 0) continue;
-    CountOp(home, kOpResultFlip);
-    SqtEntry* entry = shards_[home]->FindQuery(report.qids[k]);
+    SqtEntry* entry = sqt_.Find(report.qids[k]);
+    if (entry == nullptr) continue;
+    CountOp(entry->home, kOpResultFlip);
     bool is_target = (report.bitmap >> k) & 1;
     if (is_target) {
       entry->result.insert(report.oid);
@@ -869,20 +845,16 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     // everywhere (a coordinated sweep over all shards) and let its fresh
     // evaluations re-report the flips — briefly missing beats spuriously
     // present forever.
-    for (int s = 0; s < num_shards(); ++s) {
-      CountOp(s, net::kIdBytes);
-      for (auto& [qid, entry] : shards_[s]->sqt()) {
-        entry.result.erase(request.oid);
-      }
-    }
+    for (int s = 0; s < num_shards(); ++s) CountOp(s, net::kIdBytes);
+    sqt_.ForEachIn(0, sqt_.id_end(), [&](QueryId, SqtEntry& entry) {
+      entry.result.erase(request.oid);
+    });
     // A restarted focal object also lost hasMQ; without this repair it
     // would stop dead-reckoning for its queries until the next lease
     // renewal.
-    const int home = focal_home_.Find(request.oid);
-    if (home >= 0) {
-      CountOp(home, kOpEntryTouch);
-      const FotEntry* focal = shards_[home]->FindFocal(request.oid);
-      if (focal != nullptr && !focal->queries.empty()) {
+    if (const FotEntry* focal = fot_.Find(request.oid)) {
+      CountOp(focal->home, kOpEntryTouch);
+      if (!focal->queries.empty()) {
         SendDownlink(request.oid,
                      net::MakeMessage(net::FocalNotification{
                          request.oid, focal->queries.front()}));
@@ -896,11 +868,9 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   const std::vector<QueryId>& cell_row = QueriesForCell(request.cell);
   ChargeHeat(obs::HeatMap::kRqiScan, request.cell, cell_row.size());
   for (QueryId qid : cell_row) {
-    const int home = qid_home_.Find(qid);
-    CountOp(home, kOpEntryTouch);
-    if (shards_[home]->FindQuery(qid)->focal_oid != request.oid) {
-      expected.push_back(qid);
-    }
+    const SqtEntry& entry = *sqt_.Find(qid);
+    CountOp(entry.home, kOpEntryTouch);
+    if (entry.focal_oid != request.oid) expected.push_back(qid);
   }
   std::sort(expected.begin(), expected.end());
   std::vector<QueryId>& known = reconcile_known_;
@@ -920,9 +890,9 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   std::unordered_set<QueryId> targets(request.target_qids.begin(),
                                       request.target_qids.end());
   for (QueryId qid : request.known_qids) {
-    SqtEntry* entry = MutableQuery(qid);
+    SqtEntry* entry = sqt_.Find(qid);
     if (entry == nullptr) continue;
-    CountOp(qid_home_.Find(qid), kOpResultFlip);
+    CountOp(entry->home, kOpResultFlip);
     if (targets.contains(qid)) {
       entry->result.insert(request.oid);
       if (lifecycle_ != nullptr && !replaying_) {
@@ -935,9 +905,8 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     }
   }
   for (QueryId qid : stale) {
-    SqtEntry* entry = MutableQuery(qid);
-    if (entry != nullptr) {
-      CountOp(qid_home_.Find(qid), kOpEntryTouch);
+    if (SqtEntry* entry = sqt_.Find(qid)) {
+      CountOp(entry->home, kOpEntryTouch);
       entry->result.erase(request.oid);
     }
   }
@@ -946,10 +915,9 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     net::NewQueriesNotification notification;
     notification.oid = request.oid;
     for (QueryId qid : missing) {
-      const int home = qid_home_.Find(qid);
-      CountOp(home, kOpEntryRead);
-      notification.queries.push_back(
-          BuildQueryInfo(*shards_[home], *shards_[home]->FindQuery(qid)));
+      const SqtEntry& entry = *sqt_.Find(qid);
+      CountOp(entry.home, kOpEntryRead);
+      notification.queries.push_back(BuildQueryInfo(entry));
     }
     SendDownlink(request.oid, net::MakeMessage(std::move(notification)));
   }
@@ -961,13 +929,11 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   }
 }
 
-QueryInfo ShardRouter::BuildQueryInfo(const ServerShard& home,
-                                      const SqtEntry& entry) const {
+QueryInfo ShardRouter::BuildQueryInfo(const SqtEntry& entry) const {
   QueryInfo info;
   info.qid = entry.qid;
   info.focal_oid = entry.focal_oid;
-  // Co-location invariant: the focal's FOT row is on the query's shard.
-  const FotEntry& focal = home.fot().at(entry.focal_oid);
+  const FotEntry& focal = *fot_.Find(entry.focal_oid);
   info.focal = focal.state;
   info.region = entry.region;
   info.filter_threshold = entry.filter_threshold;
@@ -1005,13 +971,11 @@ Result<std::unordered_set<ObjectId>> ShardRouter::QueryResult(
 }
 
 const SqtEntry* ShardRouter::FindQuery(QueryId qid) const {
-  const int home = qid_home_.Find(qid);
-  return home < 0 ? nullptr : shards_[home]->FindQuery(qid);
+  return sqt_.Find(qid);
 }
 
 const FotEntry* ShardRouter::FindFocal(ObjectId oid) const {
-  const int home = focal_home_.Find(oid);
-  return home < 0 ? nullptr : shards_[home]->FindFocal(oid);
+  return fot_.Find(oid);
 }
 
 void ShardRouter::Checkpoint() {
@@ -1042,7 +1006,7 @@ Status ShardRouter::Restore(const Snapshot& store, size_t* replayed) {
       // effectively applied it.
       const auto& request =
           std::get<net::QueryInstallRequest>(record.message.payload);
-      if (!focal_home_.contains(request.oid)) {
+      if (fot_.Find(request.oid) == nullptr) {
         for (size_t j = k + 1; j < store.wal.size(); ++j) {
           const WalRecord& later = store.wal[j];
           if (consumed[j] ||
@@ -1084,69 +1048,59 @@ std::vector<uint8_t> ShardRouter::EncodeImage() const {
     EncodeAssignment(owners, &out);
   }
 
-  // Each shard encodes its slice in parallel (sorted within the shard);
-  // shard key sets are disjoint, so a serial k-way merge by key emits the
-  // same global sorted-key layout the monolith wrote — the image format is
-  // shard-count-independent.
+  // Worker k encodes the k-th id slice of each table; the tables are
+  // indexed by id, so concatenating the parts in worker order yields the
+  // ascending-id image whatever the shard count.
   const size_t n = static_cast<size_t>(num_shards());
-  std::vector<ServerShard::ImageChunk> fot_chunks(n);
-  std::vector<ServerShard::ImageChunk> sqt_chunks(n);
-  // The dedup table rides along: shard k serializes the k-th contiguous
-  // slice of the (already sorted) key order, so concatenating the parts
-  // reproduces the serial ascending-oid encoding byte for byte.
+  std::vector<std::vector<uint8_t>> fot_parts(n);
+  std::vector<std::vector<uint8_t>> sqt_parts(n);
   std::vector<std::vector<uint8_t>> seen_parts(n);
   ForEachShard("server.shard.checkpoint_encode", [&](int k) {
-    fot_chunks[k] = shards_[k]->EncodeFotChunk();
-    sqt_chunks[k] = shards_[k]->EncodeSqtChunk();
-    const size_t lo = seen_order_.size() * static_cast<size_t>(k) / n;
-    const size_t hi = seen_order_.size() * (static_cast<size_t>(k) + 1) / n;
-    net::ByteWriter part(&seen_parts[k]);
-    for (size_t i = lo; i < hi; ++i) {
-      const ObjectId oid = seen_order_[i];
-      const SeenSeqs& seen = seen_seqs_.at(oid);
-      part.I64(oid);
-      for (uint32_t seq : seen.ring) part.U32(seq);
-      part.U8(static_cast<uint8_t>(seen.next));
-    }
+    net::ByteWriter fw(&fot_parts[static_cast<size_t>(k)]);
+    const auto [fot_lo, fot_hi] = IdSlice(k, fot_.id_end());
+    fot_.ForEachIn(fot_lo, fot_hi, [&](ObjectId oid, const FotEntry& entry) {
+      fw.I64(oid);
+      fw.State(entry.state);
+      fw.F64(entry.max_speed);
+      fw.Cell(entry.cell);
+      // The bound-query list keeps its live order: broadcast order during
+      // velocity relays follows it.
+      fw.U32(static_cast<uint32_t>(entry.queries.size()));
+      for (QueryId qid : entry.queries) fw.I64(qid);
+    });
+    net::ByteWriter qw(&sqt_parts[static_cast<size_t>(k)]);
+    std::vector<ObjectId> result;
+    const auto [sqt_lo, sqt_hi] = IdSlice(k, sqt_.id_end());
+    sqt_.ForEachIn(sqt_lo, sqt_hi, [&](QueryId, const SqtEntry& entry) {
+      qw.I64(entry.qid);
+      qw.I64(entry.focal_oid);
+      qw.Region(entry.region);
+      qw.F64(entry.filter_threshold);
+      qw.Cell(entry.curr_cell);
+      qw.Range(entry.mon_region);
+      qw.F64(entry.expires_at);
+      qw.F64(entry.lease_renew_at);
+      result.assign(entry.result.begin(), entry.result.end());
+      std::sort(result.begin(), result.end());
+      qw.U32(static_cast<uint32_t>(result.size()));
+      for (ObjectId oid : result) qw.I64(oid);
+    });
+    net::ByteWriter sw(&seen_parts[static_cast<size_t>(k)]);
+    const auto [seen_lo, seen_hi] = IdSlice(k, seen_.id_end());
+    seen_.ForEachIn(seen_lo, seen_hi, [&](ObjectId oid, const SeenSeqs& seen) {
+      sw.I64(oid);
+      for (uint32_t seq : seen.ring) sw.U32(seq);
+      sw.U8(static_cast<uint8_t>(seen.next));
+    });
   });
-  size_t total_bytes = out.size() + 3 * sizeof(uint32_t);
-  for (size_t k = 0; k < n; ++k) {
-    total_bytes += fot_chunks[k].bytes.size() + sqt_chunks[k].bytes.size() +
-                   seen_parts[k].size();
-  }
-  out.reserve(total_bytes);
-  auto merge = [&out,
-                &w](const std::vector<ServerShard::ImageChunk>& chunks) {
-    size_t total = 0;
-    for (const auto& chunk : chunks) total += chunk.keys.size();
-    w.U32(static_cast<uint32_t>(total));
-    std::vector<size_t> pos(chunks.size(), 0);
-    while (true) {
-      int best = -1;
-      for (size_t s = 0; s < chunks.size(); ++s) {
-        if (pos[s] < chunks[s].keys.size() &&
-            (best < 0 ||
-             chunks[s].keys[pos[s]] < chunks[best].keys[pos[best]])) {
-          best = static_cast<int>(s);
-        }
-      }
-      if (best < 0) break;
-      const ServerShard::ImageChunk& chunk = chunks[best];
-      out.insert(out.end(),
-                 chunk.bytes.begin() +
-                     static_cast<ptrdiff_t>(chunk.offsets[pos[best]]),
-                 chunk.bytes.begin() +
-                     static_cast<ptrdiff_t>(chunk.offsets[pos[best] + 1]));
-      ++pos[best];
-    }
+  auto section = [&w](size_t rows,
+                      const std::vector<std::vector<uint8_t>>& parts) {
+    w.U32(static_cast<uint32_t>(rows));
+    for (const std::vector<uint8_t>& part : parts) w.Bytes(part);
   };
-  merge(fot_chunks);
-  merge(sqt_chunks);
-
-  w.U32(static_cast<uint32_t>(seen_seqs_.size()));
-  for (const std::vector<uint8_t>& part : seen_parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
+  section(fot_.size(), fot_parts);
+  section(sqt_.size(), sqt_parts);
+  section(seen_.size(), seen_parts);
   return out;
 }
 
@@ -1162,20 +1116,19 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
   r.U16();  // reserved
 
   for (auto& shard : shards_) shard->Clear();
-  focal_home_.Clear();
-  qid_home_.Clear();
-  seen_seqs_.clear();
-  seen_order_.clear();
+  fot_.Clear();
+  sqt_.Clear();
+  seen_.Clear();
 
   now_ = r.F64();
   next_qid_ = r.I64();
-  // Every id below indexes a dense home table: bound them before any
-  // table grows to cover one.
+  // Every id below indexes a dense table: bound them before any table
+  // grows to cover one.
   if (r.ok() && (next_qid_ < 0 || next_qid_ > kMaxDenseId)) {
     return Status::InvalidArgument("checkpoint: query id counter out of range");
   }
 
-  // Partition epoch first: the entries below re-home through map_.ShardOf,
+  // Partition epoch first: the rows below re-home through map_.ShardOf,
   // which must already answer under the restored assignment.
   if (version == kImageVersionEpoch) {
     const uint64_t epoch = r.U64();
@@ -1196,7 +1149,7 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
     } else {
       // N→M restore: the stored owner table indexes shards (or a grid)
       // this deployment does not have. Fall back to this deployment's seed
-      // under the restored epoch counter, so entries re-home consistently
+      // under the restored epoch counter, so rows re-home consistently
       // and later rebalances keep advancing the epoch.
       MOBIEYES_RETURN_NOT_OK(map_.SetAssignment(epoch, {}));
     }
@@ -1206,8 +1159,8 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
     MOBIEYES_RETURN_NOT_OK(map_.SetAssignment(0, {}));
   }
 
-  // Entries are homed by the *current* shard map, so a checkpoint written
-  // by an N-shard deployment restores cleanly into an M-shard one.
+  // Rows are homed by the *current* shard map, so a checkpoint written by
+  // an N-shard deployment restores cleanly into an M-shard one.
   uint32_t fot_count = r.U32();
   for (uint32_t k = 0; k < fot_count && r.ok(); ++k) {
     ObjectId oid = r.I64();
@@ -1223,11 +1176,12 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
       if (oid < 0 || oid >= kMaxDenseId) {
         return Status::InvalidArgument("checkpoint: focal object id range");
       }
-      const int home = map_.ShardOf(entry.cell);
-      if (!focal_home_.Insert(oid, home)) {
+      FotEntry* row = fot_.Insert(oid);
+      if (row == nullptr) {
         return Status::InvalidArgument("checkpoint: duplicate focal object");
       }
-      shards_[home]->fot().emplace(oid, std::move(entry));
+      entry.home = map_.ShardOf(entry.cell);
+      *row = std::move(entry);
     }
   }
 
@@ -1259,20 +1213,34 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
       return Status::InvalidArgument(
           "checkpoint: monitoring region outside the grid");
     }
-    // Queries home with their focal object (co-location invariant); an
-    // orphan entry falls back to its current cell's shard.
-    const int focal_home = focal_home_.Find(entry.focal_oid);
-    const int home =
-        focal_home >= 0 ? focal_home : map_.ShardOf(entry.curr_cell);
-    if (!qid_home_.Insert(entry.qid, home)) {
+    // Handlers follow FOT <-> SQT bindings without checks, so the image
+    // must bind each query to a focal object that lists it exactly once
+    // (the total below rules out FOT entries naming other qids). Queries
+    // home with their focal object (co-location invariant).
+    const FotEntry* focal = fot_.Find(entry.focal_oid);
+    const auto listings =
+        focal == nullptr ? 0 : std::ranges::count(focal->queries, entry.qid);
+    if (listings != 1) {
+      return Status::InvalidArgument("checkpoint: query not bound to focal");
+    }
+    entry.home = focal->home;
+    SqtEntry* row = sqt_.Insert(entry.qid);
+    if (row == nullptr) {
       return Status::InvalidArgument("checkpoint: duplicate query id");
     }
-    // RQI rows rebuild in image (sorted-qid) order on the owning shards —
-    // the same per-row order the monolith's restore produced.
+    // RQI rows rebuild in image (ascending-qid) order on the owning shards
+    // — the same per-row order the monolith's restore produced.
     for (int s : map_.ShardsIntersecting(entry.mon_region)) {
       shards_[s]->RqiAdd(entry.qid, entry.mon_region);
     }
-    shards_[home]->sqt().emplace(entry.qid, std::move(entry));
+    *row = std::move(entry);
+  }
+  size_t total_listings = 0;
+  fot_.ForEachIn(0, fot_.id_end(), [&](ObjectId, const FotEntry& focal) {
+    total_listings += focal.queries.size();
+  });
+  if (r.ok() && total_listings != sqt_.size()) {
+    return Status::InvalidArgument("checkpoint: focal lists unknown queries");
   }
 
   uint32_t seen_count = r.U32();
@@ -1281,15 +1249,19 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
     SeenSeqs seen;
     for (size_t s = 0; s < seen.ring.size(); ++s) seen.ring[s] = r.U32();
     uint8_t next = r.U8();
+    if (!r.ok()) break;
     if (next >= seen.ring.size()) {
       return Status::InvalidArgument("checkpoint: dedup ring cursor range");
     }
     seen.next = next;
-    // The image stores the table in ascending-oid order, so appending keeps
-    // seen_order_ sorted.
-    if (r.ok() && seen_seqs_.emplace(oid, seen).second) {
-      seen_order_.push_back(oid);
+    if (oid < 0 || oid >= kMaxDenseId) {
+      return Status::InvalidArgument("checkpoint: dedup sender id range");
     }
+    SeenSeqs* row = seen_.Insert(oid);
+    if (row == nullptr) {
+      return Status::InvalidArgument("checkpoint: duplicate dedup sender");
+    }
+    *row = seen;
   }
 
   if (!r.ok() || r.remaining() != 0) {

@@ -1,10 +1,12 @@
 #ifndef MOBIEYES_CORE_SHARD_ROUTER_H_
 #define MOBIEYES_CORE_SHARD_ROUTER_H_
 
+#include <algorithm>
 #include <array>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "mobieyes/common/ids.h"
@@ -28,62 +30,103 @@ class LifecycleTracker;
 
 namespace mobieyes::core {
 
-// Home shard per dense id (ObjectId or QueryId), indexed by the id, -1
-// where absent. Lookups of any id (negative, past the end) are safe and
-// answer "absent"; Insert's caller bounds the id (ShardRouter::kMaxDenseId)
-// because the table grows to cover it.
-class HomeTable {
+// Rows indexed by a dense id (ObjectId or QueryId): an int32 slot per id
+// into a pool of rows, -1 where absent. Rows are address-stable — inserts
+// never move another row, so a handler may hold a reference across the
+// synchronous network's re-entrant dispatch — and an erased row's pool
+// entry is reused by a later insert. Lookups of any id (negative, past the
+// end) are safe and answer "absent"; Insert's caller bounds the id
+// (ShardRouter::kMaxDenseId) because the slot array grows to cover it.
+template <typename Row>
+class DenseTable {
  public:
-  int Find(int64_t id) const {
-    return id >= 0 && static_cast<uint64_t>(id) < homes_.size()
-               ? homes_[static_cast<size_t>(id)]
-               : -1;
+  Row* Find(int64_t id) {
+    const int32_t slot = SlotOf(id);
+    return slot < 0 ? nullptr : &pool_[static_cast<size_t>(slot)];
   }
-  bool contains(int64_t id) const { return Find(id) >= 0; }
-  // Homes `id` on `home`; false (and no change) if it is already homed.
-  bool Insert(int64_t id, int home) {
+  const Row* Find(int64_t id) const {
+    const int32_t slot = SlotOf(id);
+    return slot < 0 ? nullptr : &pool_[static_cast<size_t>(slot)];
+  }
+  // Adds a default row for `id`; nullptr (and no change) if it is present.
+  Row* Insert(int64_t id) {
     const auto k = static_cast<size_t>(id);
-    if (k >= homes_.size()) homes_.resize(k + 1, -1);
-    if (homes_[k] >= 0) return false;
-    homes_[k] = home;
+    if (k >= slots_.size()) slots_.resize(k + 1, -1);
+    if (slots_[k] >= 0) return nullptr;
+    if (free_.empty()) {
+      slots_[k] = static_cast<int32_t>(pool_.size());
+      pool_.emplace_back();
+    } else {
+      slots_[k] = free_.back();
+      free_.pop_back();
+    }
     ++count_;
-    return true;
+    return &pool_[static_cast<size_t>(slots_[k])];
   }
-  // Re-homes an id that is present.
-  void Set(int64_t id, int home) { homes_[static_cast<size_t>(id)] = home; }
   void Erase(int64_t id) {
-    if (!contains(id)) return;
-    homes_[static_cast<size_t>(id)] = -1;
+    const int32_t slot = SlotOf(id);
+    if (slot < 0) return;
+    pool_[static_cast<size_t>(slot)] = Row{};  // release its heap state now
+    free_.push_back(slot);
+    slots_[static_cast<size_t>(id)] = -1;
     --count_;
   }
   void Clear() {
-    homes_.clear();
+    slots_.clear();
+    pool_.clear();
+    free_.clear();
     count_ = 0;
   }
   size_t size() const { return count_; }
-  // One past the largest id the table has slots for: ascending walks run
+  // One past the largest id the table has a slot for: ascending walks run
   // over [0, id_end()).
-  int64_t id_end() const { return static_cast<int64_t>(homes_.size()); }
+  int64_t id_end() const { return static_cast<int64_t>(slots_.size()); }
+  // Calls fn(id, row) for every present id in [lo, hi), ascending.
+  template <typename Fn>
+  void ForEachIn(int64_t lo, int64_t hi, const Fn& fn) const {
+    const int64_t end = std::min(hi, id_end());
+    for (int64_t id = std::max<int64_t>(lo, 0); id < end; ++id) {
+      if (const Row* row = Find(id)) fn(id, *row);
+    }
+  }
+  template <typename Fn>
+  void ForEachIn(int64_t lo, int64_t hi, const Fn& fn) {
+    const int64_t end = std::min(hi, id_end());
+    for (int64_t id = std::max<int64_t>(lo, 0); id < end; ++id) {
+      if (Row* row = Find(id)) fn(id, *row);
+    }
+  }
 
  private:
-  std::vector<int32_t> homes_;
+  int32_t SlotOf(int64_t id) const {
+    return id >= 0 && static_cast<uint64_t>(id) < slots_.size()
+               ? slots_[static_cast<size_t>(id)]
+               : -1;
+  }
+
+  std::vector<int32_t> slots_;
+  std::deque<Row> pool_;  // deque: growth never moves a row
+  std::vector<int32_t> free_;
   size_t count_ = 0;
 };
 
 // Coordinator in front of N grid-partitioned ServerShards (DESIGN.md §10).
-// The router owns the protocol: it dispatches every uplink serially in
-// arrival order (the in-process network is synchronous, so responses land
-// mid-tick and feed the same tick's client evaluations — reordering would
-// change observable behavior), resolves which shard homes each FOT/SQT
-// entry, migrates ownership with explicit ShardHandoff messages when a
-// focal object crosses a partition boundary, and funnels every downlink
-// through the wireless network in the exact order the monolith produced.
-// What parallelizes across shards is the step phase: expiry scans, lease
-// scans, and checkpoint-chunk encoding, all shard-local reads.
+// The router owns the protocol and the id-indexed server tables (FOT by
+// object, SQT by query, the dedup rings by sender), each row labelled with
+// its home shard; a shard holds the RQI rows of the cells it owns. The
+// router dispatches every uplink serially in arrival order (the in-process
+// network is synchronous, so responses land mid-tick and feed the same
+// tick's client evaluations — reordering would change observable
+// behavior), re-labels a focal object's rows with a ShardHandoff charged to
+// the backplane when it crosses a partition boundary, and funnels every
+// downlink through the wireless network in the exact order the monolith
+// produced. What parallelizes is the step phase: step-phase worker k takes
+// the k-th contiguous id slice of the expiry scan, the lease scan and each
+// checkpoint section, and the parts concatenate in ascending id order.
 //
-// Invariant (co-location): a focal object's FOT row and every SQT entry
-// bound to it live on the shard owning the focal's current cell. RQI rows
-// are keyed by cell and never migrate.
+// Invariant (co-location): a focal object's FOT row and every SQT row
+// bound to it carry the same home, the shard owning the focal's current
+// cell. RQI rows are keyed by cell and move only with a rebalance.
 class ShardRouter {
  public:
   // Coordinator-side traffic of the sharded deployment; all zero with one
@@ -104,10 +147,12 @@ class ShardRouter {
     uint64_t rqi_ids_moved = 0;  // query ids carried by moved RQI rows
   };
 
-  // Bound on the ObjectIds and QueryIds the home tables index (2^24,
-  // 16x a million-object world). Checkpoint decode rejects ids at or above
-  // it, position reports naming one are ignored and installs past it fail,
-  // so a hostile image or uplink can make a table at most 64 MiB.
+  // Bound on the ObjectIds and QueryIds the tables index (2^24, 16x a
+  // million-object world). Checkpoint decode rejects ids at or above it,
+  // position reports naming one are ignored, tracked uplinks from such a
+  // sender are dropped unacknowledged and installs past it fail, so a
+  // hostile image, log or uplink can grow a table's slots to at most
+  // 64 MiB.
   static constexpr int64_t kMaxDenseId = int64_t{1} << 24;
 
   ShardRouter(const geo::Grid& grid, const net::BaseStationLayout& layout,
@@ -127,7 +172,7 @@ class ShardRouter {
   Result<std::unordered_set<ObjectId>> QueryResult(QueryId qid) const;
   const SqtEntry* FindQuery(QueryId qid) const;
   const FotEntry* FindFocal(ObjectId oid) const;
-  size_t query_count() const { return qid_home_.size(); }
+  size_t query_count() const { return sqt_.size(); }
 
   // The RQI row of `cell`, read from the owning shard.
   const std::vector<QueryId>& QueriesForCell(const geo::CellCoord& cell) const;
@@ -139,6 +184,12 @@ class ShardRouter {
   // Home shard of a query / focal object; -1 if unknown.
   int ShardOfQuery(QueryId qid) const;
   int ShardOfFocal(ObjectId oid) const;
+  // Rows homed on shard k (walks the FOT and SQT).
+  struct HomedRows {
+    size_t focals = 0;
+    size_t queries = 0;
+  };
+  HomedRows RowsHomedOn(int k) const;
   const BackplaneStats& backplane() const { return backplane_; }
   const RebalanceStats& rebalance_stats() const { return rebalance_stats_; }
 
@@ -214,13 +265,13 @@ class ShardRouter {
   // relative to this ingress is what the backplane accounting charges.
   int IngressShard(const net::Message& message) const;
 
-  // Mutable SQT entry lookup through the home index.
-  SqtEntry* MutableQuery(QueryId qid);
-
-  // Re-homes `oid` (and its bound queries) if its recorded cell moved into
-  // another shard's partition, by delivering a ShardHandoff message.
-  // Returns the (possibly new) home shard.
-  int MigrateIfNeeded(ObjectId oid);
+  // Re-homes focal `oid` (and its bound queries) if its recorded cell moved
+  // into another shard's partition: a home-label change, charged to the
+  // backplane at the wire size of the ShardHandoff a multi-process
+  // deployment would send. Returns the (possibly new) home shard.
+  int MigrateIfNeeded(ObjectId oid, FotEntry& focal);
+  net::Message HandoffMessage(ObjectId oid, const FotEntry& focal,
+                              int to_shard) const;
 
   // Applies a non-empty rebalance plan: advances the map epoch, moves the
   // affected RQI rows verbatim, and re-homes every focal object whose cell
@@ -245,18 +296,28 @@ class ShardRouter {
   // are all gone).
   bool UplinkHeatCell(const net::Message& message, geo::CellCoord* cell) const;
 
-  net::QueryInfo BuildQueryInfo(const ServerShard& home,
-                                const SqtEntry& entry) const;
+  net::QueryInfo BuildQueryInfo(const SqtEntry& entry) const;
   void BroadcastToRegion(const geo::CellRange& region,
                          const net::Message& message);
   void SendDownlink(ObjectId to, net::Message message);
 
-  // Runs fn(shard_index) for every shard — on the pool when attached and
-  // multi-shard, inline otherwise — and emits per-shard trace spans (tid =
-  // shard id + 1) from the calling thread after joining. Const: it mutates
-  // no router state (workers touch only their own shard's slice).
+  // Runs fn(k) for every step-phase worker k in [0, num_shards()) — on the
+  // pool when attached and multi-shard, inline otherwise — and emits
+  // per-worker trace spans (tid = k + 1) from the calling thread after
+  // joining. Const: it mutates no router state (each worker writes only
+  // its own output and its shard's step_micros).
   template <typename Fn>
   void ForEachShard(const char* span_name, const Fn& fn) const;
+  // Worker k's ids [lo, hi) of [0, id_end): the k-th of num_shards()
+  // contiguous slices, so per-worker outputs concatenated in worker order
+  // are in ascending id order — the one step-phase parallel mechanism.
+  std::pair<int64_t, int64_t> IdSlice(int k, int64_t id_end) const {
+    const int64_t n = num_shards();
+    return {id_end * k / n, id_end * (k + 1) / n};
+  }
+  // Ids of the SQT rows whose `deadline` field is due at now_, ascending,
+  // scanned by id slice into scan_merged_.
+  void ScanDueQueries(const char* span_name, Seconds SqtEntry::*deadline);
 
   std::vector<uint8_t> EncodeImage() const;
   Status DecodeImage(const std::vector<uint8_t>& image);
@@ -269,29 +330,22 @@ class ShardRouter {
 
   ShardMap map_;
   std::vector<std::unique_ptr<ServerShard>> shards_;
-  // Home indexes: which shard currently owns each entry, indexed by the
-  // dense ObjectId / QueryId (qids come from the monotone next_qid_).
-  // Queries are always co-located with their focal object.
-  HomeTable focal_home_;
-  HomeTable qid_home_;
+  // The server tables, indexed by the dense ObjectId / QueryId (qids come
+  // from the monotone next_qid_); each FOT/SQT row carries its home shard.
+  DenseTable<FotEntry> fot_;
+  DenseTable<SqtEntry> sqt_;
 
   QueryId next_qid_ = 0;
   Seconds now_ = 0.0;
 
-  // Recently seen uplink sequence numbers per object (at-most-once dedup
+  // Recently seen uplink sequence numbers per sender (at-most-once dedup
   // for the reliable-uplink hardening). A small ring suffices: a client
   // tracks at most 16 uplinks and retires them in rough FIFO order.
   struct SeenSeqs {
     std::array<uint32_t, 8> ring{};
     size_t next = 0;
   };
-  std::unordered_map<ObjectId, SeenSeqs> seen_seqs_;
-  // Keys of seen_seqs_, kept sorted incrementally (an object enters once,
-  // on its first reliable uplink). Checkpoints write the dedup table in
-  // ascending-oid order; maintaining the order here turns the encoder's
-  // per-checkpoint key sort into a contiguous range walk that parallelizes
-  // across shards.
-  std::vector<ObjectId> seen_order_;
+  DenseTable<SeenSeqs> seen_;
 
   Snapshot* store_ = nullptr;
   bool replaying_ = false;    // inside Restore's WAL replay: suppress sends
@@ -309,12 +363,12 @@ class ShardRouter {
   std::vector<int32_t> owners_scratch_;
 
   // Per-step scratch, reused so the hot server phases allocate nothing at
-  // steady state: the per-shard scan outputs and their merge vector
-  // (AdvanceTime / RenewLeases), the RQI row-diff buffers
+  // steady state: the per-worker scan outputs and their concatenation
+  // (ScanDueQueries), the RQI row-diff buffers
   // (HandleCellChange), and the reconcile expected/known sets
   // (HandleLqtReconcile). Dispatch is serial and none of the users can
   // re-enter itself through the synchronous network, so one copy suffices.
-  std::vector<std::vector<QueryId>> scan_per_shard_;
+  std::vector<std::vector<QueryId>> scan_parts_;
   std::vector<QueryId> scan_merged_;
   std::vector<QueryId> diff_scratch_;
   std::vector<QueryId> diff_out_;

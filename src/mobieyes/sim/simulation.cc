@@ -423,7 +423,7 @@ void Simulation::RecordStepObservations(int64_t step) {
       registry_->GetGauge(prefix + "handoffs_out", /*timing=*/true)
           ->Set(static_cast<double>(shard.stats().handoffs_out));
       registry_->GetGauge(prefix + "queries", /*timing=*/true)
-          ->Set(static_cast<double>(shard.sqt().size()));
+          ->Set(static_cast<double>(router.RowsHomedOn(s).queries));
     }
     // Imbalance gauges: the scheduler-facing scalars a rebalancer would
     // watch, derived from the same per-shard numbers. step_cost ratios use

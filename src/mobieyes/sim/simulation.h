@@ -71,11 +71,6 @@ struct ObservabilityOptions {
   // the simulation's step clock — no wall time, so exports stay
   // deterministic.
   bool enable_lifecycle = false;
-
-  bool any_enabled() const {
-    return enable_metrics || enable_trace || sample_stride > 0 ||
-           enable_heatmap || enable_lifecycle;
-  }
 };
 
 struct SimulationConfig {

@@ -273,6 +273,14 @@ TEST(ServerRestoreTest, RestoreRejectsOutOfRangeAndDuplicateIds) {
   ASSERT_TRUE(d.server().InstallQuery(1, 14.0, 0.5).ok());
   ASSERT_TRUE(d.server().InstallQuery(2, 14.0, 0.5).ok());
   d.TickN(2);
+  // Two tracked uplinks (seq != 0) give the dedup table rows for senders 0
+  // and 3; the reports themselves are stale and change nothing else.
+  for (ObjectId from : {ObjectId{0}, ObjectId{3}}) {
+    net::Message message =
+        net::MakeMessage(net::VelocityChangeReport{from, {}});
+    message.seq = 9;
+    d.server().OnUplink(from, message);
+  }
   d.server().Checkpoint();
   const std::vector<uint8_t> image = store.checkpoint;
 
@@ -280,10 +288,14 @@ TEST(ServerRestoreTest, RestoreRejectsOutOfRangeAndDuplicateIds) {
   // next_qid i64, FOT count u32, then the FOT entries in oid order. An
   // entry with one query is oid i64, state 5 x f64, max speed f64, cell
   // 2 x i32, query count u32 and the qid i64: 76 bytes.
+  // The image ends with the dedup table: two rows of sender oid i64, ring
+  // 8 x u32 and cursor u8, 41 bytes each.
   constexpr size_t kNextQidOffset = 16;
   constexpr size_t kFirstOidOffset = 28;
+  constexpr size_t kFirstBoundQidOffset = kFirstOidOffset + 68;
   constexpr size_t kSecondOidOffset = kFirstOidOffset + 76;
-  ASSERT_GT(image.size(), kSecondOidOffset + sizeof(int64_t));
+  ASSERT_GT(image.size(), kSecondOidOffset + 2 * 41);
+  const size_t first_sender_offset = image.size() - 2 * 41;
   auto restore_patched = [&](size_t offset, int64_t value) {
     core::Snapshot patched;
     patched.checkpoint = image;
@@ -296,6 +308,8 @@ TEST(ServerRestoreTest, RestoreRejectsOutOfRangeAndDuplicateIds) {
   ASSERT_TRUE(restore_patched(kNextQidOffset, 2).ok());
   ASSERT_TRUE(restore_patched(kFirstOidOffset, 1).ok());
   ASSERT_TRUE(restore_patched(kSecondOidOffset, 2).ok());
+  ASSERT_TRUE(restore_patched(kFirstBoundQidOffset, 0).ok());
+  ASSERT_TRUE(restore_patched(first_sender_offset, 0).ok());
 
   const int64_t kHuge = int64_t{1} << 40;
   const int64_t kMax = core::ShardRouter::kMaxDenseId;
@@ -312,6 +326,15 @@ TEST(ServerRestoreTest, RestoreRejectsOutOfRangeAndDuplicateIds) {
   }
   EXPECT_EQ(restore_patched(kSecondOidOffset, 1).code(),
             StatusCode::kInvalidArgument);
+  // Focal 1 listing qid 1, which focal 2 lists too, leaves qid 0 unbound.
+  EXPECT_EQ(restore_patched(kFirstBoundQidOffset, 1).code(),
+            StatusCode::kInvalidArgument);
+  // Dedup senders index a dense table too: out-of-range and duplicate
+  // senders are rejected.
+  for (int64_t oid : {int64_t{-1}, kHuge, kMax, int64_t{3}}) {
+    Status status = restore_patched(first_sender_offset, oid);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "sender " << oid;
+  }
 }
 
 // --- Simulation-level recovery ---------------------------------------------

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "mobieyes/core/server.h"
 #include "mobieyes/core/server_shard.h"
+#include "mobieyes/core/shard_router.h"
 #include "mobieyes/core/snapshot.h"
 #include "test_harness.h"
 
@@ -17,15 +19,11 @@ namespace mobieyes {
 namespace {
 
 using core::ShardMap;
-using core::ShardPartition;
 using core::ShardingOptions;
 
-core::MobiEyesOptions ShardedOptions(int num_shards,
-                                     ShardPartition partition =
-                                         ShardPartition::kRowBand) {
+core::MobiEyesOptions ShardedOptions(int num_shards) {
   core::MobiEyesOptions options;
   options.sharding.num_shards = num_shards;
-  options.sharding.partition = partition;
   return options;
 }
 
@@ -79,12 +77,18 @@ TEST(ShardMapTest, ShardsIntersectingIsExactForRowBands) {
   }
 }
 
-TEST(ShardMapTest, ShardsIntersectingCoversHashPartition) {
+// A rebalanced epoch scatters cells across shards, so ShardsIntersecting
+// walks the range's cells instead of answering from the row interval.
+TEST(ShardMapTest, ShardsIntersectingCoversRebalancedPartition) {
   geo::Grid grid = *geo::Grid::Make(geo::Rect{0, 0, 100, 100}, 10.0);
   ShardingOptions options;
   options.num_shards = 5;
-  options.partition = ShardPartition::kHash;
   ShardMap map(grid, options);
+  std::vector<core::CellMove> moves;
+  for (int32_t flat = 0; flat < grid.CellCount(); flat += 3) {
+    moves.push_back({flat, flat % 5});
+  }
+  ASSERT_TRUE(map.ApplyMoves(1, moves).ok());
   geo::CellRange range{1, 4, 2, 5};
   std::vector<int> shards = map.ShardsIntersecting(range);
   // Every owner of a cell in the range must be reported (a miss would lose
@@ -148,7 +152,6 @@ TEST(ShardRouterTest, BoundaryWalkKeepsShardedServerEquivalentToMonolith) {
       int home = router.ShardOfFocal(b->focal_oid);
       EXPECT_EQ(home, router.shard_map().ShardOf(focal->cell)) << context;
       EXPECT_EQ(router.ShardOfQuery(qid), home) << context;
-      EXPECT_NE(router.shard(home).FindQuery(qid), nullptr) << context;
     }
     // RQI row equality on every cell: the sharded slices, read through the
     // router, must reproduce the monolith's rows element-for-element (order
@@ -198,41 +201,10 @@ TEST(ShardRouterTest, BoundaryWalkKeepsShardedServerEquivalentToMonolith) {
   EXPECT_EQ(mono.server().router().backplane().messages, 0u);
 }
 
-// The hash partition scatters neighboring cells across shards, so nearly
-// every cell change is a boundary crossing; the equivalence must hold there
-// too (this exercises the multi-shard RQI fan-out much harder).
-TEST(ShardRouterTest, HashPartitionWalkMatchesMonolith) {
-  std::vector<test::ObjectSpec> specs;
-  for (int k = 0; k < 8; ++k) {
-    specs.push_back(test::ObjectSpec({12.0 + 10.0 * k, 10.0},
-                                     {0.03 * (k % 3), 0.06},
-                                     /*max_speed_in=*/0.1));
-  }
-  test::MiniDeployment mono(specs, ShardedOptions(1));
-  test::MiniDeployment sharded(
-      specs, ShardedOptions(3, ShardPartition::kHash));
-  for (ObjectId oid = 0; oid < 4; ++oid) {
-    ASSERT_TRUE(mono.server().InstallQuery(oid, 10.0, 0.5).ok());
-    ASSERT_TRUE(sharded.server().InstallQuery(oid, 10.0, 0.5).ok());
-  }
-  mono.TickN(20);
-  sharded.TickN(20);
-  for (QueryId qid = 0; qid < 4; ++qid) {
-    const core::SqtEntry* a = mono.server().FindQuery(qid);
-    const core::SqtEntry* b = sharded.server().FindQuery(qid);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b->result, a->result) << "qid " << qid;
-  }
-  EXPECT_EQ(sharded.network().stats().downlink_bytes,
-            mono.network().stats().downlink_bytes);
-  EXPECT_GT(sharded.server().router().backplane().handoffs, 0u);
-}
-
 // --- Multi-shard checkpoint/restore ------------------------------------------
 
-// The checkpoint image is shard-count-independent: per-shard sorted chunks
-// k-way merge into the same global sorted layout the monolith writes, so
+// The checkpoint image is shard-count-independent: per-worker id slices
+// concatenate into the same ascending-id layout the monolith writes, so
 // identical logical state yields identical bytes whatever the shard count.
 TEST(ShardRouterTest, CheckpointImageIsByteIdenticalAcrossShardCounts) {
   std::vector<test::ObjectSpec> specs;
@@ -357,9 +329,9 @@ TEST(ShardRouterTest, MultiShardServerResumesAfterRestore) {
   EXPECT_FALSE(store.checkpoint.empty());
 }
 
-// The router's home tables are dense arrays indexed by id with an explicit
-// entry count: removals and later installs (which take fresh, larger qids)
-// must keep query_count() and the lookups in step with the SQT.
+// The router's tables are dense arrays indexed by id with an explicit row
+// count: removals and later installs (which take fresh, larger qids) must
+// keep query_count() and the lookups in step with the SQT.
 TEST(ShardRouterTest, QueryCountTracksRemoveAndReinstall) {
   std::vector<test::ObjectSpec> specs;
   for (int k = 0; k < 6; ++k) {
@@ -414,6 +386,99 @@ TEST(ShardRouterTest, OutOfRangePositionReportIsIgnored) {
   EXPECT_EQ(d.server().query_count(), 1u);
   d.TickN(2);
   EXPECT_TRUE(d.server().QueryResult(0).ok());
+}
+
+// A tracked uplink (seq != 0) from a sender id the dense dedup table cannot
+// index is dropped before dedup: not applied, not acknowledged, and no
+// dedup row is added — the checkpoint image stays byte-identical.
+TEST(ShardRouterTest, OutOfRangeReliableUplinkSenderIsDropped) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 4; ++k) {
+    specs.push_back(test::ObjectSpec({20.0 + 15.0 * k, 40.0}));
+  }
+  test::MiniDeployment d(specs, ShardedOptions(2));
+  core::Snapshot store;
+  d.server().set_durable_store(&store);
+  ASSERT_TRUE(d.server().InstallQuery(1, 12.0, 0.5).ok());
+  d.server().Checkpoint();
+  const std::vector<uint8_t> image = store.checkpoint;
+  const net::FocalState before = d.server().FindFocal(1)->state;
+  net::VelocityChangeReport report;
+  report.oid = 1;
+  report.state = before;
+  report.state.pos.x += 1.0;
+  report.state.tm += 1.0;
+  net::Message message = net::MakeMessage(report);
+  message.seq = 3;
+  const ObjectId kMax = core::ShardRouter::kMaxDenseId;
+  for (ObjectId from : {ObjectId{-7}, kMax, ObjectId{1} << 40}) {
+    const net::NetworkStats sent = d.network().stats();
+    d.server().OnUplink(from, message);
+    EXPECT_EQ(d.server().FindFocal(1)->state.pos.x, before.pos.x)
+        << "from " << from;
+    EXPECT_EQ(d.network().stats().downlink_messages, sent.downlink_messages)
+        << "from " << from;
+    EXPECT_EQ(d.network().stats().undeliverable_downlinks,
+              sent.undeliverable_downlinks)
+        << "from " << from;
+  }
+  d.server().Checkpoint();
+  EXPECT_EQ(store.checkpoint, image);
+  // The same uplink from an in-range sender is applied and acknowledged.
+  const uint64_t downlinks = d.network().stats().downlink_messages;
+  d.server().OnUplink(1, message);
+  EXPECT_EQ(d.server().FindFocal(1)->state.pos.x, before.pos.x + 1.0);
+  EXPECT_GT(d.network().stats().downlink_messages, downlinks);
+}
+
+// --- DenseTable --------------------------------------------------------------
+
+TEST(DenseTableTest, RowsStayPutEraseReinsertsAndSlicesWalkAscending) {
+  core::DenseTable<std::vector<int>> table;
+  std::vector<int>* row = table.Insert(5);
+  ASSERT_NE(row, nullptr);
+  row->push_back(42);
+  // Rows are address-stable: inserting higher ids (growing both the slot
+  // array and the pool) never moves an existing row.
+  for (int64_t id = 6; id < 5000; ++id) ASSERT_NE(table.Insert(id), nullptr);
+  EXPECT_EQ(table.Find(5), row);
+  EXPECT_EQ(row->front(), 42);
+  EXPECT_EQ(table.Insert(5), nullptr);  // already present: no change
+  EXPECT_EQ(table.size(), 4995u);
+  EXPECT_EQ(table.id_end(), 5000);
+
+  // Erase empties the row and frees its id; a reinsert starts from a
+  // default row.
+  table.Erase(5);
+  EXPECT_EQ(table.Find(5), nullptr);
+  EXPECT_EQ(table.size(), 4994u);
+  table.Erase(5);  // absent: no-op
+  EXPECT_EQ(table.size(), 4994u);
+  std::vector<int>* again = table.Insert(5);
+  ASSERT_NE(again, nullptr);
+  EXPECT_TRUE(again->empty());
+  EXPECT_EQ(table.size(), 4995u);
+
+  // Lookups of ids the table cannot hold answer "absent".
+  EXPECT_EQ(table.Find(-1), nullptr);
+  EXPECT_EQ(table.Find(int64_t{1} << 40), nullptr);
+  EXPECT_EQ(table.Find(3), nullptr);
+
+  // Walking contiguous id slices in order visits the present ids in
+  // ascending order, each once.
+  for (int64_t id = 100; id < 5000; id += 7) table.Erase(id);
+  std::vector<int64_t> walked;
+  auto record = [&walked](int64_t id, const std::vector<int>&) {
+    walked.push_back(id);
+  };
+  const int64_t end = table.id_end();
+  for (int64_t k = 0; k < 3; ++k) {
+    table.ForEachIn(end * k / 3, end * (k + 1) / 3, record);
+  }
+  ASSERT_EQ(walked.size(), table.size());
+  EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
+  EXPECT_EQ(walked.front(), 5);
+  EXPECT_EQ(std::adjacent_find(walked.begin(), walked.end()), walked.end());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "mobieyes/core/rebalance.h"
 
 namespace mobieyes::bench {
 namespace {
@@ -190,9 +191,7 @@ TEST(SweepDeterminismTest, ObservabilityDoesNotPerturbResults) {
 // MobiEyes-only jobs (the sharded server exists only in MobiEyes modes)
 // with the hardened protocol and fault pressure, so the comparison covers
 // dedup rings, leases and reconciliation across shard layouts too.
-std::vector<SweepJob> ShardedSweep(int num_shards,
-                                   core::ShardPartition partition,
-                                   int shard_threads) {
+std::vector<SweepJob> ShardedSweep(int num_shards, int shard_threads) {
   std::vector<SweepJob> jobs;
   for (SweepJob& job : SmallSweep()) {
     if (job.mode != sim::SimMode::kMobiEyesEager &&
@@ -200,7 +199,6 @@ std::vector<SweepJob> ShardedSweep(int num_shards,
       continue;
     }
     job.mobieyes.sharding.num_shards = num_shards;
-    job.mobieyes.sharding.partition = partition;
     job.options.shard_threads = shard_threads;
     job.options.checkpoint_stride = 2;  // exercise parallel chunk encoding
     job.faults.plan.uplink_drop_rate = 0.1;
@@ -212,7 +210,7 @@ std::vector<SweepJob> ShardedSweep(int num_shards,
 }
 
 // The tentpole contract (DESIGN.md §10): the shard count is invisible. For
-// any --shards value and either partition policy, every deterministic
+// any --shards value, every deterministic
 // metric, the full timing-free observability report, the oracle-accuracy
 // sums and the final per-query result sets must be byte-identical to the
 // single-shard (monolith) run.
@@ -221,26 +219,17 @@ TEST(SweepDeterminismTest, ShardCountIsObservablyInvisible) {
   obs.metrics = true;
   obs.sample_stride = 1;
   obs.capture_results = true;
-  std::vector<SweepCellResult> mono = RunSweepObserved(
-      ShardedSweep(1, core::ShardPartition::kRowBand, 1), 2, obs);
+  std::vector<SweepCellResult> mono =
+      RunSweepObserved(ShardedSweep(1, 1), 2, obs);
   ASSERT_FALSE(mono.empty());
-  struct Layout {
-    int shards;
-    core::ShardPartition partition;
-    const char* name;
-  };
-  for (const Layout& layout :
-       {Layout{2, core::ShardPartition::kRowBand, "rowband x2"},
-        Layout{4, core::ShardPartition::kRowBand, "rowband x4"},
-        Layout{8, core::ShardPartition::kRowBand, "rowband x8"},
-        Layout{4, core::ShardPartition::kHash, "hash x4"}}) {
-    std::vector<SweepCellResult> sharded = RunSweepObserved(
-        ShardedSweep(layout.shards, layout.partition, 1), 2, obs);
+  for (int shards : {2, 4, 8}) {
+    std::vector<SweepCellResult> sharded =
+        RunSweepObserved(ShardedSweep(shards, 1), 2, obs);
     ASSERT_EQ(sharded.size(), mono.size());
     uint64_t handoffs = 0;
     for (size_t k = 0; k < mono.size(); ++k) {
-      const std::string context =
-          std::string(layout.name) + " job " + std::to_string(k);
+      const std::string context = std::to_string(shards) + " shards job " +
+                                  std::to_string(k);
       ExpectDeterministicFieldsEqual(mono[k].metrics, sharded[k].metrics,
                                      context);
       EXPECT_EQ(mono[k].metrics_json, sharded[k].metrics_json) << context;
@@ -251,7 +240,7 @@ TEST(SweepDeterminismTest, ShardCountIsObservablyInvisible) {
     }
     // The equivalence must be earned: focal objects do cross partition
     // boundaries under every multi-shard layout of this workload.
-    EXPECT_GT(handoffs, 0u) << layout.name;
+    EXPECT_GT(handoffs, 0u) << shards << " shards";
   }
 }
 
@@ -266,8 +255,7 @@ TEST(SweepDeterminismTest, RepeatedObservedRunsAreByteIdentical) {
   obs.metrics = true;
   obs.sample_stride = 1;
   obs.capture_results = true;
-  std::vector<SweepJob> jobs =
-      ShardedSweep(2, core::ShardPartition::kRowBand, 2);
+  std::vector<SweepJob> jobs = ShardedSweep(2, 2);
   std::vector<SweepCellResult> first = RunSweepObserved(jobs, 2, obs);
   std::vector<SweepCellResult> second = RunSweepObserved(jobs, 2, obs);
   ASSERT_EQ(first.size(), second.size());
@@ -291,8 +279,8 @@ TEST(SweepDeterminismTest, HeatMapAndLifecycleAreLayoutInvariant) {
   obs.sample_stride = 1;
   obs.heatmap = true;
   obs.lifecycle = true;
-  std::vector<SweepCellResult> mono = RunSweepObserved(
-      ShardedSweep(1, core::ShardPartition::kRowBand, 1), 1, obs);
+  std::vector<SweepCellResult> mono =
+      RunSweepObserved(ShardedSweep(1, 1), 1, obs);
   ASSERT_FALSE(mono.empty());
   for (size_t k = 0; k < mono.size(); ++k) {
     EXPECT_FALSE(mono[k].heatmap_json.empty());
@@ -310,9 +298,8 @@ TEST(SweepDeterminismTest, HeatMapAndLifecycleAreLayoutInvariant) {
   for (int shards : {1, 4}) {
     for (int threads : {1, 8}) {
       if (shards == 1 && threads == 1) continue;  // the baseline itself
-      std::vector<SweepCellResult> layout = RunSweepObserved(
-          ShardedSweep(shards, core::ShardPartition::kRowBand, threads),
-          threads, obs);
+      std::vector<SweepCellResult> layout =
+          RunSweepObserved(ShardedSweep(shards, threads), threads, obs);
       ASSERT_EQ(layout.size(), mono.size());
       for (size_t k = 0; k < mono.size(); ++k) {
         const std::string context = "shards=" + std::to_string(shards) +
@@ -327,23 +314,54 @@ TEST(SweepDeterminismTest, HeatMapAndLifecycleAreLayoutInvariant) {
 
 // At a fixed shard count, neither the sweep's cell-level worker count nor
 // the server's own shard_threads pool may leak into results: the step-phase
-// scans collect into per-shard buffers that merge in shard order.
+// workers scan contiguous id slices whose outputs concatenate in order. The
+// rebalanced input (hotspots, --rebalance=1:1.05:8 as in the step
+// benchmark's hotspot_sharded_2k) also moves cells and focal objects
+// between shards every planning point.
 TEST(SweepDeterminismTest, ShardedSweepsAreThreadCountInvariant) {
   SweepObsOptions obs;
   obs.metrics = true;
   obs.sample_stride = 1;
   obs.capture_results = true;
-  std::vector<SweepCellResult> serial = RunSweepObserved(
-      ShardedSweep(4, core::ShardPartition::kRowBand, 1), 1, obs);
-  std::vector<SweepCellResult> parallel = RunSweepObserved(
-      ShardedSweep(4, core::ShardPartition::kRowBand, 4), 4, obs);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t k = 0; k < serial.size(); ++k) {
-    const std::string context = "sharded job " + std::to_string(k);
-    ExpectDeterministicFieldsEqual(serial[k].metrics, parallel[k].metrics,
-                                   context);
-    EXPECT_EQ(serial[k].metrics_json, parallel[k].metrics_json) << context;
-    EXPECT_EQ(serial[k].query_results, parallel[k].query_results) << context;
+  core::ShardingOptions rebalancing;
+  rebalancing.num_shards = 4;
+  ASSERT_TRUE(core::ParseRebalanceSpec("1:1.05:8", &rebalancing).ok());
+  for (bool rebalanced : {false, true}) {
+    auto sweep = [&](int threads) {
+      std::vector<SweepJob> jobs = ShardedSweep(4, threads);
+      if (rebalanced) {
+        for (SweepJob& job : jobs) {
+          job.params.object_distribution = sim::ObjectDistribution::kHotspot;
+          job.mobieyes.sharding = rebalancing;
+        }
+      }
+      return RunSweepObserved(jobs, threads, obs);
+    };
+    std::vector<SweepCellResult> serial = sweep(1);
+    std::vector<SweepCellResult> parallel = sweep(4);
+    ASSERT_EQ(serial.size(), parallel.size());
+    uint64_t rebalance_events = 0;
+    for (size_t k = 0; k < serial.size(); ++k) {
+      const std::string context =
+          std::string(rebalanced ? "rebalanced" : "static") +
+          " sharded job " + std::to_string(k);
+      const sim::RunMetrics& a = serial[k].metrics;
+      const sim::RunMetrics& b = parallel[k].metrics;
+      ExpectDeterministicFieldsEqual(a, b, context);
+      EXPECT_EQ(serial[k].metrics_json, parallel[k].metrics_json) << context;
+      EXPECT_EQ(serial[k].query_results, parallel[k].query_results) << context;
+      EXPECT_EQ(a.rebalance_events, b.rebalance_events) << context;
+      EXPECT_EQ(a.rebalance_cells_moved, b.rebalance_cells_moved) << context;
+      EXPECT_EQ(a.rebalance_focals_moved, b.rebalance_focals_moved) << context;
+      EXPECT_EQ(a.rebalance_rqi_ids_moved, b.rebalance_rqi_ids_moved)
+          << context;
+      EXPECT_EQ(a.rebalance_epoch, b.rebalance_epoch) << context;
+      rebalance_events += a.rebalance_events;
+    }
+    // The rebalanced equivalence must be earned: the partition really moved.
+    if (rebalanced) {
+      EXPECT_GT(rebalance_events, 0u);
+    }
   }
 }
 

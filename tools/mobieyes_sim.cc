@@ -19,7 +19,6 @@
 //                [--server-crash=S:R] [--client-restart-rate=F]
 //                [--checkpoint-stride=N]
 //                [--shards=N] [--shard-threads=N]
-//                [--shard-partition=rowband|hash]
 //                [--rebalance=off|STRIDE:THRESHOLD:MAX_MOVES]
 //
 // The fault flags configure the net::FaultyNetwork (see
@@ -103,7 +102,6 @@ void PrintUsage(const char* argv0) {
                "          [--server-crash=S:R] [--client-restart-rate=F]\n"
                "          [--checkpoint-stride=N]\n"
                "          [--shards=N] [--shard-threads=N]\n"
-               "          [--shard-partition=rowband|hash]\n"
                "          [--rebalance=off|STRIDE:THRESHOLD:MAX_MOVES]\n",
                argv0);
 }
@@ -264,18 +262,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
                      value.c_str());
         return false;
       }
-    } else if (key == "shard-partition") {
-      if (value == "rowband") {
-        cli->config.mobieyes.sharding.partition =
-            core::ShardPartition::kRowBand;
-      } else if (value == "hash") {
-        cli->config.mobieyes.sharding.partition = core::ShardPartition::kHash;
-      } else {
-        std::fprintf(stderr,
-                     "bad --shard-partition value '%s' (want rowband|hash)\n",
-                     value.c_str());
-        return false;
-      }
     } else if (key == "rebalance") {
       Status st = core::ParseRebalanceSpec(
           value, &cli->config.mobieyes.sharding);
@@ -424,12 +410,7 @@ int main(int argc, char** argv) {
       const core::ShardRouter& router = server->router();
       std::printf(
           "\n-- server shards ---------------------------------------\n");
-      std::printf("shards                     %d (%s partition)\n",
-                  router.num_shards(),
-                  router.shard_map().partition() ==
-                          core::ShardPartition::kRowBand
-                      ? "rowband"
-                      : "hash");
+      std::printf("shards                     %d\n", router.num_shards());
       std::printf("step phase                 %.6g s total (%.6g s/step)\n",
                   metrics.server_step_seconds,
                   metrics.steps > 0 ? metrics.server_step_seconds /
@@ -445,9 +426,10 @@ int main(int argc, char** argv) {
                       metrics.network.inter_shard_handoffs));
       for (int s = 0; s < router.num_shards(); ++s) {
         const core::ServerShard& shard = router.shard(s);
+        const core::ShardRouter::HomedRows rows = router.RowsHomedOn(s);
         std::printf("shard %-2d                   %zu queries, %zu focals, "
                     "%llu uplinks, %llu in / %llu out handoffs\n",
-                    s, shard.sqt().size(), shard.fot().size(),
+                    s, rows.queries, rows.focals,
                     static_cast<unsigned long long>(
                         shard.stats().uplinks_routed),
                     static_cast<unsigned long long>(shard.stats().handoffs_in),
